@@ -72,16 +72,19 @@ def _cmd_batch(args) -> int:
     if not configs:
         print(f"no *.json configs in {args.directory}", file=sys.stderr)
         return EXIT_ERROR
-    worst = EXIT_HOLDS
+    failed = errored = False
     for path in configs:
-        cfg = _load(str(path))
-        out_dir = resolve_output_dir(cfg, args.out, path.stem)
-        verdict = run_scenario(cfg, out_dir)
+        try:
+            cfg = _load(str(path))
+            verdict = run_scenario(cfg, resolve_output_dir(cfg, args.out, path.stem))
+        except Exception as exc:  # noqa: BLE001 - report it and run the next config
+            print(f"{path.name}: {_error_message(exc)}", file=sys.stderr)
+            errored = True
+            continue
         status = "holds" if verdict.holds else "FAILS"
         print(f"{path.name}: {status} (worst margin {verdict.worst_margin:.4g})")
-        if not verdict.holds:
-            worst = EXIT_FAILS
-    return worst
+        failed = failed or not verdict.holds
+    return EXIT_ERROR if errored else EXIT_FAILS if failed else EXIT_HOLDS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,12 +121,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except Exception as exc:  # noqa: BLE001 - exit-code contract
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_error_message(exc), file=sys.stderr)
         return EXIT_ERROR
+
+
+def _error_message(exc: Exception) -> str:
+    if isinstance(exc, ConfigError):
+        return f"config error: {exc}"
+    return f"error: {type(exc).__name__}: {exc}"
 
 
 if __name__ == "__main__":

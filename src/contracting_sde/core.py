@@ -321,8 +321,11 @@ def scalar_tracker(c: float, sigma: float, metric: Optional[Metric] = None) -> S
 class EquilibriumMap:
     """Input-indexed zero of the drift: F(x_star(u), u) = 0.
 
-    ``hessians(u)`` returns one m x m matrix per output component; it is
-    optional and only needed for the Ito drift-correction constants.
+    ``x_star`` must broadcast over a leading batch axis (an (N, m) input
+    block maps to (N, n) equilibria), as ``SystemSpec.drift`` must; the
+    ensemble estimators evaluate it on whole blocks. ``hessians(u)`` returns
+    one m x m matrix per output component; it is optional and only needed
+    for the Ito drift-correction constants.
     """
 
     def __init__(self, x_star, jacobian=None, hessians=None, state_dim=None, input_dim=None):

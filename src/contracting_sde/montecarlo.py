@@ -1,18 +1,21 @@
 """Ensemble statistics: empirical second moments of errors in the weighted
 norm, standard errors, tail averages, and envelope-domination verdicts.
 
-Paths are independent work items keyed by (master_seed, path_index); each
-path's Gaussian draws are bulk-generated from its own counter-based stream
-in exactly the order the per-path integrators consume them, so an ensemble
-path is bit-identical to the corresponding single-path run. Ensembles are
-processed in fixed-size chunks whose partial sums are merged in chunk
-order, which makes results independent of the worker count.
+Paths are independent work items keyed by (master_seed, path_index). Every
+ensemble steps through the batched kernels of ``integrate`` that the
+single-path integrators also run, on a block of one, and each path's
+Gaussian draws come from its own counter-based stream in the same order.
+In one dimension an ensemble path is therefore bit-identical to the
+single-path run of the same lineage; for n >= 2 the two agree to rounding
+(about 1e-16 relative), because BLAS may round a matrix product
+differently for a different number of rows. Ensembles are processed in
+fixed-size chunks whose partial sums are merged in chunk order, which makes
+results independent of the worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -21,10 +24,20 @@ import numpy as np
 from .bounds import Envelope, optimize_alpha
 from .core import EquilibriumMap, InputSignal, SystemSpec, TimeGrid
 from .errors import DivergenceError, InputError
-from .integrate import CouplingMode, _warn_step_size
-from .noise import JDParams, OUParams, RngLineage, jd_step_with_flag, ou_exact_step
+from .integrate import (
+    CHUNK_SIZE,  # noqa: F401 - the ensembles' chunk size, importable from here
+    CouplingMode,
+    _block,
+    _cascade_states,
+    _check_cascade,
+    _check_pair,
+    _draws,
+    _pair_states,
+    _run_chunks,
+)
+from .noise import JDParams, OUParams, _ou_exact_coeffs
 
-CHUNK_SIZE = 512  # paths per chunk; fixed so results do not depend on n_workers
+_OU_STEP_BLOCK = 128  # steps per block in ou_moment
 
 
 @dataclass(frozen=True)
@@ -81,66 +94,26 @@ class CascadeScenario:
     unsafe: bool = False
 
 
-def _bulk_increments(lineage: RngLineage, steps: int, width: int) -> np.ndarray:
-    """All standard-normal draws of one path, in integrator consumption order."""
-    return lineage.stream().standard_normal((steps, width))
+def _moment_sums(errors, steps):
+    """Per-step (sum, sum of squares) of one chunk's squared errors."""
+    ps = np.zeros(steps + 1)
+    pq = np.zeros(steps + 1)
+    for k, e in enumerate(errors):
+        ps[k], pq[k] = e.sum(), (e**2).sum()
+    return ps, pq
 
 
-def _stack_chunk(master_seed, start, count, steps, width):
-    return np.stack([
-        _bulk_increments(RngLineage(master_seed, start + i), steps, width)
-        for i in range(count)
-    ])
-
-
-def _check_chunk_finite(x, step, chunk_start):
-    bad = ~np.all(np.isfinite(x), axis=1)
-    if np.any(bad):
-        idx = chunk_start + int(np.flatnonzero(bad)[0])
-        raise DivergenceError(
-            f"non-finite state at step {step} on path {idx}",
-            step=step, path_index=idx,
-        )
-
-
-def _drift_batch(sys: SystemSpec, x, u):
-    return np.asarray(sys.drift(x, u), dtype=float)
-
-
-def _diffuse_batch(sys: SystemSpec, x, u, dB):
-    """Noise increment Sigma(x, u) dB for an (N, r) block of increments."""
-    if sys.dispersion_matrix is not None:
-        return dB @ sys.dispersion_matrix.T
-    S = np.asarray(sys.dispersion(x, u), dtype=float)
-    if S.ndim == 2:
-        return dB @ S.T
-    return np.einsum("bnr,br->bn", S, dB)
-
-
-def _finalize(grid, total, total_sq, n_paths):
+def _finalize(grid, partials, n_paths):
+    total = np.zeros(grid.steps + 1)
+    total_sq = np.zeros(grid.steps + 1)
+    for ps, pq in partials:
+        total += ps
+        total_sq += pq
     mean = total / n_paths
     # SE of the mean from streamed sums; equals the jackknife SE for a mean
     var = np.clip(total_sq - n_paths * mean**2, 0.0, None) / max(n_paths - 1, 1)
     se = np.sqrt(var / n_paths)
     return MomentSeries(grid=grid, mean_sq=mean, std_err=se, n_paths=n_paths)
-
-
-def _run_chunks(worker, n_paths, n_workers, steps):
-    """Execute chunk workers and merge (sum, sumsq) partials in chunk order."""
-    starts = list(range(0, n_paths, CHUNK_SIZE))
-    jobs = [(s, min(CHUNK_SIZE, n_paths - s)) for s in starts]
-    if n_workers <= 1:
-        partials = [worker(s, c) for s, c in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            futures = [ex.submit(worker, s, c) for s, c in jobs]
-            partials = [f.result() for f in futures]
-    total = np.zeros(steps + 1)
-    total_sq = np.zeros(steps + 1)
-    for ps, pq in partials:
-        total += ps
-        total_sq += pq
-    return total, total_sq
 
 
 def pair_error_moment(
@@ -154,47 +127,27 @@ def pair_error_moment(
     if n_paths < 100:
         raise InputError("n_paths must be >= 100")
     sc = scenario
-    _warn_step_size(sc.sys_x, sc.grid)
-    if sc.mode is CouplingMode.COMMON and sc.sys_x.noise_dim != sc.sys_y.noise_dim:
-        raise InputError("common coupling requires equal dispersion column counts")
+    _check_pair(sc.sys_x, sc.sys_y, sc.mode, sc.grid)
     grid = sc.grid
-    r_x, r_y = sc.sys_x.noise_dim, sc.sys_y.noise_dim
-    width = r_x if sc.mode is CouplingMode.COMMON else r_x + r_y
     metric = sc.sys_x.metric
-    x0 = np.asarray(sc.x0, dtype=float).reshape(sc.sys_x.state_dim)
-    y0 = np.asarray(sc.y0, dtype=float).reshape(sc.sys_y.state_dim)
     times = grid.times()
     ux_path = sc.u_x.values(times)
     uy_path = sc.u_y.values(times)
-    sq_dt = math.sqrt(grid.dt)
+
+    def errors(states, start):
+        for k, (x, y) in enumerate(states):
+            if debug_guard is not None and k > 0:
+                _apply_guard(x, times[k], debug_guard, start, k)
+            yield metric.batch_norm_sq(x - y)
 
     def worker(start, count):
-        Z = _stack_chunk(master_seed, start, count, grid.steps, width)
-        x = np.broadcast_to(x0, (count, x0.shape[0])).copy()
-        y = np.broadcast_to(y0, (count, y0.shape[0])).copy()
-        ps = np.zeros(grid.steps + 1)
-        pq = np.zeros(grid.steps + 1)
-        e0 = metric.batch_norm_sq(x - y)
-        ps[0], pq[0] = e0.sum(), (e0**2).sum()
-        for k in range(grid.steps):
-            z = Z[:, k, :] * sq_dt
-            if sc.mode is CouplingMode.COMMON:
-                dBx = dBy = z
-            else:
-                dBx, dBy = z[:, :r_x], z[:, r_x:]
-            uxk, uyk = ux_path[k], uy_path[k]
-            x = x + _drift_batch(sc.sys_x, x, uxk) * grid.dt + _diffuse_batch(sc.sys_x, x, uxk, dBx)
-            y = y + _drift_batch(sc.sys_y, y, uyk) * grid.dt + _diffuse_batch(sc.sys_y, y, uyk, dBy)
-            _check_chunk_finite(x, k + 1, start)
-            _check_chunk_finite(y, k + 1, start)
-            if debug_guard is not None:
-                _apply_guard(x, times[k + 1], debug_guard, start, k + 1)
-            e = metric.batch_norm_sq(x - y)
-            ps[k + 1], pq[k + 1] = e.sum(), (e**2).sum()
-        return ps, pq
+        states = _pair_states(
+            sc.sys_x, sc.sys_y, _block(sc.x0, sc.sys_x.state_dim, count),
+            _block(sc.y0, sc.sys_y.state_dim, count), ux_path, uy_path, sc.mode, grid,
+            master_seed, start)
+        return _moment_sums(errors(states, start), grid.steps)
 
-    total, total_sq = _run_chunks(worker, n_paths, n_workers, grid.steps)
-    return _finalize(grid, total, total_sq, n_paths)
+    return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)
 
 
 def _apply_guard(x, t, guard, chunk_start, step):
@@ -209,13 +162,14 @@ def _apply_guard(x, t, guard, chunk_start, step):
 
 
 def _x_star_batch(eq_map: EquilibriumMap, U: np.ndarray, n: int) -> np.ndarray:
-    try:
-        out = np.asarray(eq_map._x_star(U), dtype=float)
-        if out.shape == (U.shape[0], n):
-            return out
-    except Exception:
-        pass
-    return np.stack([np.atleast_1d(eq_map.x_star(u)) for u in U])
+    out = eq_map.x_star(U)
+    if out.shape != (U.shape[0], n):
+        raise InputError(
+            f"equilibrium map returned shape {out.shape} for a batch of "
+            f"{U.shape[0]} inputs; expected {(U.shape[0], n)}: x_star must "
+            "broadcast over a leading batch axis"
+        )
+    return out
 
 
 def tracking_error_moment(
@@ -236,61 +190,24 @@ def tracking_error_moment(
     if n_paths < 100:
         raise InputError("n_paths must be >= 100")
     sc = scenario
-    _warn_step_size(sc.sys, sc.grid)
     grid, sys, noise = sc.grid, sc.sys, sc.noise
-    is_jd = isinstance(noise, JDParams)
-    m, r, n = noise.dim, sys.noise_dim, sys.state_dim
-    if m != sys.input_dim:
-        raise InputError("noise dimension does not match system input dimension")
-    if is_jd and not (noise.feller_holds or noise.unsafe or sc.unsafe):
-        from .errors import ConfigError
-        raise ConfigError(
-            "JD parameters violate the boundary-nonattainment (Feller) "
-            f"condition (margin {noise.feller_margin:.3g})"
-        )
+    _check_cascade(noise, sys, sc.xi0, grid, sc.unsafe)
     metric = sys.metric
-    x0 = np.asarray(sc.x0, dtype=float).reshape(n)
-    xi0 = np.asarray(sc.xi0, dtype=float).reshape(m)
-    times = grid.times()
-    theta_path = sc.theta.values(times)
+    n = sys.state_dim
+    theta_path = sc.theta.values(grid.times())
     xstar_det = _x_star_batch(eq_map, theta_path, n)  # (steps+1, n)
-    sq_dt = math.sqrt(grid.dt)
 
     def worker(start, count):
-        Z = _stack_chunk(master_seed, start, count, grid.steps, m + r)
-        x = np.broadcast_to(x0, (count, n)).copy()
-        if is_jd:
-            u = np.broadcast_to(xi0, (count, m)).copy()
+        states = _cascade_states(
+            noise, theta_path, sys, _block(sc.x0, n, count), _block(sc.xi0, noise.dim, count),
+            grid, master_seed, start)
+        if target == "deterministic_curve":
+            errs = (metric.batch_norm_sq(x - xstar_det[k]) for k, (x, _) in enumerate(states))
         else:
-            xi = np.broadcast_to(xi0, (count, m)).copy()
-            u = theta_path[0] + xi
-        ps = np.zeros(grid.steps + 1)
-        pq = np.zeros(grid.steps + 1)
+            errs = (metric.batch_norm_sq(x - _x_star_batch(eq_map, u, n)) for x, u in states)
+        return _moment_sums(errs, grid.steps)
 
-        def accumulate(k, xk, uk):
-            if target == "deterministic_curve":
-                e = metric.batch_norm_sq(xk - xstar_det[k])
-            else:
-                e = metric.batch_norm_sq(xk - _x_star_batch(eq_map, uk, n))
-            ps[k], pq[k] = e.sum(), (e**2).sum()
-
-        accumulate(0, x, u)
-        for k in range(grid.steps):
-            z_u, z_x = Z[:, k, :m], Z[:, k, m:]
-            dBx = z_x * sq_dt
-            uk = u
-            x = x + _drift_batch(sys, x, uk) * grid.dt + _diffuse_batch(sys, x, uk, dBx)
-            _check_chunk_finite(x, k + 1, start)
-            if is_jd:
-                u, _ = jd_step_with_flag(u, noise, times[k], grid.dt, z_u)
-            else:
-                xi = ou_exact_step(xi, noise, grid.dt, z_u)
-                u = theta_path[k + 1] + xi
-            accumulate(k + 1, x, u)
-        return ps, pq
-
-    total, total_sq = _run_chunks(worker, n_paths, n_workers, grid.steps)
-    return _finalize(grid, total, total_sq, n_paths)
+    return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)
 
 
 def ou_moment(
@@ -307,29 +224,46 @@ def ou_moment(
         raise InputError(f"unknown method '{method}'")
     if n_paths < 100:
         raise InputError("n_paths must be >= 100")
-    x0 = np.asarray(x0, dtype=float).reshape(p.dim)
-    sq_dt = math.sqrt(grid.dt)
+    decay, std = _ou_exact_coeffs(p, grid.dt)
+    scale = p.sigma / math.sqrt(p.dim)
+    exact = method == "exact"
 
     def worker(start, count):
-        Z = _stack_chunk(master_seed, start, count, grid.steps, p.dim)
-        x = np.broadcast_to(x0, (count, p.dim)).copy()
-        ps = np.zeros(grid.steps + 1)
-        pq = np.zeros(grid.steps + 1)
-        sq = np.einsum("bi,bi->b", x, x)
-        ps[0], pq[0] = sq.sum(), (sq**2).sum()
-        scale = p.sigma / math.sqrt(p.dim)
-        for k in range(grid.steps):
-            z = Z[:, k, :]
-            if method == "exact":
-                x = ou_exact_step(x, p, grid.dt, z)
-            else:
-                x = x - p.c * x * grid.dt + scale * z * sq_dt
-            sq = np.einsum("bi,bi->b", x, x)
-            ps[k + 1], pq[k + 1] = sq.sum(), (sq**2).sum()
+        Z = _draws(master_seed, start, count, grid.steps, p.dim)
+        ps, pq = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
+
+        def reduce(states, k):
+            sq = np.einsum("kbi,kbi->kb", states, states)
+            ps[k:k + len(sq)] = sq.sum(axis=1)
+            sq *= sq
+            pq[k:k + len(sq)] = sq.sum(axis=1)
+
+        # step-major blocks of states and noise terms, small enough to stay
+        # in cache; X[0] holds the last state of the previous block
+        X = np.empty((_OU_STEP_BLOCK + 1, count, p.dim))
+        W = np.empty((_OU_STEP_BLOCK, count, p.dim))
+        X[0] = _block(x0, p.dim, count)
+        reduce(X[:1], 0)
+        for k0 in range(0, grid.steps, _OU_STEP_BLOCK):
+            n = min(_OU_STEP_BLOCK, grid.steps - k0)
+            w = W[:n]
+            np.multiply(Z[:, k0:k0 + n].transpose(1, 0, 2), std if exact else scale, out=w)
+            if not exact:
+                w *= math.sqrt(grid.dt)
+            for j in range(n):
+                x, nx = X[j], X[j + 1]
+                if exact:
+                    np.multiply(x, decay, out=nx)
+                else:  # x - c x dt, without temporaries
+                    np.multiply(x, p.c, out=nx)
+                    nx *= grid.dt
+                    np.subtract(x, nx, out=nx)
+                nx += w[j]
+            reduce(X[1:n + 1], k0 + 1)
+            X[0] = X[n]
         return ps, pq
 
-    total, total_sq = _run_chunks(worker, n_paths, n_workers, grid.steps)
-    return _finalize(grid, total, total_sq, n_paths)
+    return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)
 
 
 def check_envelope(series: MomentSeries, env: Envelope, alpha_policy) -> Verdict:

@@ -30,12 +30,15 @@ class RngLineage:
     master_seed: int
     path_index: int = 0
 
-    def stream(self) -> np.random.Generator:
-        bitgen = np.random.Philox(key=np.array(
+    def key(self) -> np.ndarray:
+        """The Philox key of the stream."""
+        return np.array(
             [self.master_seed % (1 << 64), self.path_index % (1 << 64)],
             dtype=np.uint64,
-        ))
-        return np.random.Generator(bitgen)
+        )
+
+    def stream(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self.key()))
 
 
 @dataclass(frozen=True)
@@ -128,15 +131,20 @@ def ou_exact_step(xi: np.ndarray, p: OUParams, dt: float, z: np.ndarray) -> np.n
     which has no discretization bias. With c = 0 this degenerates to pure
     Brownian scaling sigma * sqrt(dt / m) * z.
     """
-    if dt <= 0:
-        raise InputError("dt must be positive")
+    decay, std = _ou_exact_coeffs(p, dt)
     xi = np.asarray(xi, dtype=float)
     z = np.asarray(z, dtype=float)
-    if p.c == 0.0:
-        return xi + p.sigma * math.sqrt(dt / p.dim) * z
-    decay = math.exp(-p.c * dt)
-    std = math.sqrt(p.sigma**2 / (2.0 * p.c * p.dim) * (1.0 - decay**2))
     return decay * xi + std * z
+
+
+def _ou_exact_coeffs(p: OUParams, dt: float) -> tuple:
+    """(decay, std) of the exact OU transition xi' = decay * xi + std * z."""
+    if dt <= 0:
+        raise InputError("dt must be positive")
+    if p.c == 0.0:
+        return 1.0, p.sigma * math.sqrt(dt / p.dim)
+    decay = math.exp(-p.c * dt)
+    return decay, math.sqrt(p.sigma**2 / (2.0 * p.c * p.dim) * (1.0 - decay**2))
 
 
 def ou_second_moment(x0_norm_sq: float, c: float, sigma: float, t: float) -> float:

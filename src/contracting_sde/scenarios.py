@@ -43,9 +43,9 @@ from .montecarlo import (
 from .noise import JDParams, OUParams, RngLineage
 from .wasserstein import (
     WassersteinScenario,
+    _wasserstein_verdict,
     gibbs_check,
     gibbs_density,
-    verify_wasserstein_contraction,
     wasserstein_series,
 )
 
@@ -481,7 +481,7 @@ def _run_wasserstein(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Verdi
     p = math.inf if d["p"] in ("inf", math.inf) else float(d["p"])
     workers = int(d["n_workers"])
     times, w_emp, env = wasserstein_series(sc, p, seed, n_workers=workers)
-    verdict = verify_wasserstein_contraction(sc, p, seed, n_workers=workers)
+    verdict = _wasserstein_verdict(times, w_emp, env, k)
     _write_csv(out_dir / "wasserstein.csv", ["t", "w_p_empirical", "envelope"],
                zip(times, w_emp, env))
     _write_csv(out_dir / "plotdata.csv", ["t", "w_p_empirical", "envelope"],

@@ -11,7 +11,6 @@ capped at k = 2048 samples per measure.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -23,12 +22,8 @@ import scipy.sparse.csgraph
 from .bounds import decay_convolution
 from .core import InputSignal, Metric, SystemSpec, TimeGrid
 from .errors import CapabilityError, CapacityError, DomainError, InputError
-from .montecarlo import (
-    CHUNK_SIZE,
-    Verdict,
-    _check_chunk_finite,
-    _stack_chunk,
-)
+from .integrate import CouplingMode, _check_pair, _pair_states, _run_chunks
+from .montecarlo import Verdict
 
 MAX_SAMPLES = 2048
 
@@ -190,9 +185,8 @@ def wasserstein_series(
     sc = scenario
     _require_state_independent(sc.sys_x, "first system")
     _require_state_independent(sc.sys_y, "second system")
-    if sc.sys_x.noise_dim != sc.sys_y.noise_dim:
-        raise InputError("common coupling requires equal dispersion column counts")
     grid = sc.grid
+    _check_pair(sc.sys_x, sc.sys_y, CouplingMode.COMMON, grid)
     times = grid.times()
     if checkpoints is None:
         idx = np.unique(np.linspace(0, grid.steps, 21).astype(int))
@@ -200,55 +194,35 @@ def wasserstein_series(
         idx = np.unique([int(round((t - grid.t0) / grid.dt)) for t in checkpoints])
         if np.any(idx < 0) or np.any(idx > grid.steps):
             raise InputError("checkpoint outside the time grid")
-    r = sc.sys_x.noise_dim
-    n = sc.sys_x.state_dim
-    k = sc.k
+    pos = {int(j): a for a, j in enumerate(idx)}
     ux_path = sc.u_x.values(times)
     uy_path = sc.u_y.values(times)
-    Sx = sc.sys_x.dispersion_matrix
-    Sy = sc.sys_y.dispersion_matrix
-    sq_dt = math.sqrt(grid.dt)
 
     def worker(start, count):
-        Z = _stack_chunk(master_seed, start, count, grid.steps, r)
-        x = sc.x0_samples[start:start + count].copy()
-        y = sc.y0_samples[start:start + count].copy()
-        xs_ck = np.empty((idx.shape[0], count, n))
-        ys_ck = np.empty((idx.shape[0], count, n))
-        pos = {int(j): a for a, j in enumerate(idx)}
-        if 0 in pos:
-            xs_ck[pos[0]], ys_ck[pos[0]] = x, y
-        for kk in range(grid.steps):
-            dB = Z[:, kk, :] * sq_dt
-            x = x + np.asarray(sc.sys_x.drift(x, ux_path[kk])) * grid.dt + dB @ Sx.T
-            y = y + np.asarray(sc.sys_y.drift(y, uy_path[kk])) * grid.dt + dB @ Sy.T
-            _check_chunk_finite(x, kk + 1, start)
-            _check_chunk_finite(y, kk + 1, start)
-            if kk + 1 in pos:
-                xs_ck[pos[kk + 1]], ys_ck[pos[kk + 1]] = x, y
+        xs_ck = np.empty((idx.shape[0], count, sc.x0_samples.shape[1]))
+        ys_ck = np.empty_like(xs_ck)
+        states = _pair_states(
+            sc.sys_x, sc.sys_y, sc.x0_samples[start:start + count],
+            sc.y0_samples[start:start + count], ux_path, uy_path, CouplingMode.COMMON,
+            grid, master_seed, start)
+        for j, (x, y) in enumerate(states):
+            if j in pos:
+                xs_ck[pos[j]], ys_ck[pos[j]] = x, y
         return xs_ck, ys_ck
 
-    starts = list(range(0, k, CHUNK_SIZE))
-    jobs = [(s, min(CHUNK_SIZE, k - s)) for s in starts]
-    if n_workers <= 1:
-        parts = [worker(s, c) for s, c in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            futures = [ex.submit(worker, s, c) for s, c in jobs]
-            parts = [f.result() for f in futures]
+    parts = _run_chunks(worker, sc.k, n_workers)
     clouds_x = np.concatenate([px for px, _ in parts], axis=1)
     clouds_y = np.concatenate([py for _, py in parts], axis=1)
 
     c = sc.sys_x.constants["c"]
     ell = sc.sys_x.constants.get("ell", 0.0)
-    W0 = _cloud_distance(clouds_x[0] if 0 in set(idx) else sc.x0_samples,
-                         clouds_y[0] if 0 in set(idx) else sc.y0_samples, p, norm)
     gap = lambda ts: np.array([
         float(np.linalg.norm(sc.u_x.value(t) - sc.u_y.value(t))) for t in np.atleast_1d(ts)
     ])
     w_emp = np.array([
         _cloud_distance(clouds_x[a], clouds_y[a], p, norm) for a in range(idx.shape[0])
     ])
+    W0 = float(w_emp[0]) if idx[0] == 0 else _cloud_distance(sc.x0_samples, sc.y0_samples, p, norm)
     env = np.array([
         wasserstein_envelope(W0, c, ell, gap, times[j] - grid.t0) for j in idx
     ])
@@ -270,11 +244,15 @@ def verify_wasserstein_contraction(
     n_workers: int = 1,
 ) -> Verdict:
     """Check empirical W_p <= envelope * (1 + 2/sqrt(k)) at every checkpoint."""
-    times, w_emp, env = wasserstein_series(
+    series = wasserstein_series(
         scenario, p, master_seed, checkpoints=checkpoints, norm=norm,
         n_workers=n_workers,
     )
-    slack = 2.0 / math.sqrt(scenario.k)
+    return _wasserstein_verdict(*series, scenario.k)
+
+
+def _wasserstein_verdict(times, w_emp, env, k: int) -> Verdict:
+    slack = 2.0 / math.sqrt(k)
     allowed = env * (1.0 + slack)
     margins = (allowed - w_emp) / np.maximum(allowed, 1e-12)
     i = int(np.argmin(margins))
@@ -282,7 +260,7 @@ def verify_wasserstein_contraction(
         holds=bool(np.all(w_emp <= allowed)),
         worst_margin=float(margins[i]),
         worst_t=float(times[i]),
-        slack_rule=f"w_p <= envelope * (1 + 2/sqrt(k)), k={scenario.k}",
+        slack_rule=f"w_p <= envelope * (1 + 2/sqrt(k)), k={k}",
     )
 
 
@@ -294,7 +272,7 @@ def gibbs_density(f, sigma: float, grid1d: np.ndarray) -> np.ndarray:
     logw = np.array([-2.0 * float(f(x)) / sigma**2 for x in xs])
     logw -= logw.max()  # stabilize before exponentiating
     w = np.exp(logw)
-    Z = np.trapezoid(w, xs)
+    Z = (np.diff(xs) * (w[1:] + w[:-1]) / 2.0).sum()  # trapezoid rule
     if not np.isfinite(Z) or Z <= 0.0:
         raise DomainError("density is not normalizable on the grid")
     return w / Z

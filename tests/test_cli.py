@@ -213,6 +213,16 @@ class TestBatchCommand:
         assert (tmp_path / "out" / "one" / "verdict.json").is_file()
         assert (tmp_path / "out" / "two" / "verdict.json").is_file()
 
+    def test_failing_config_does_not_stop_the_batch(self, tmp_path, capsys):
+        _write(tmp_path, "a_bad.json", _tiny_run_config(scenario_kind="no_such_kind"))
+        _write(tmp_path, "b_good.json", _tiny_run_config())
+        code = main(["batch", str(tmp_path), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert "a_bad.json: config error: unknown scenario kind" in captured.err
+        assert "b_good.json: holds" in captured.out
+        assert (tmp_path / "out" / "b_good" / "verdict.json").is_file()
+
     def test_empty_directory_is_an_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

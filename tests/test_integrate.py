@@ -249,3 +249,105 @@ class TestMomentSanity:
         mean_sq = acc / n
         envelope = (1.0 + 1.0) * np.exp((1.0 + L) * grid.times())
         assert np.all(mean_sq <= envelope)
+
+
+class TestSharedKernel:
+    """Ensembles step paths in blocks through the same generators that the
+    single-path integrators run on a block of one."""
+
+    SEED, START, COUNT = 11, 3, 6
+
+    def _pair_block(self, sys, x0, y0, ux, uy, mode, grid):
+        from contracting_sde.integrate import _block, _pair_states
+
+        states = list(_pair_states(
+            sys, sys, _block(x0, sys.state_dim, self.COUNT), _block(y0, sys.state_dim, self.COUNT),
+            ux.values(grid.times()), uy.values(grid.times()), mode, grid, self.SEED, self.START))
+        return np.stack([x for x, _ in states], axis=1), np.stack([y for _, y in states], axis=1)
+
+    @pytest.mark.parametrize("mode", list(CouplingMode))
+    def test_pair_slot_bit_identical_to_single_path_1d(self, mode):
+        sys = scalar_tracker(1.5, 0.4)
+        grid = TimeGrid(0.0, 1e-2, 200)
+        ux, uy = InputSignal.sinusoid([1.0]), ZERO
+        xs, ys = self._pair_block(sys, [1.0], [-0.5], ux, uy, mode, grid)
+        for i in range(self.COUNT):
+            tx, ty = integrate_pair(sys, sys, [1.0], [-0.5], ux, uy, mode, grid,
+                                    RngLineage(self.SEED, self.START + i))
+            assert np.array_equal(xs[i], tx.states)
+            assert np.array_equal(ys[i], ty.states)
+
+    @pytest.mark.parametrize("kind", ["ou", "jd"])
+    def test_cascade_slot_bit_identical_to_single_path_1d(self, kind):
+        from contracting_sde.integrate import _block, _cascade_states
+
+        sys = scalar_tracker(1.0, 0.2)
+        theta = InputSignal.sinusoid([0.2], offset=[0.5])
+        if kind == "ou":
+            noise, xi0 = OUParams(c=1.0, sigma=0.3, dim=1), [0.1]
+        else:
+            noise, xi0 = JDParams(c=1.0, theta=theta, sigma_u=0.5, a=[1.0]), [0.4]
+        grid = TimeGrid(0.0, 1e-2, 200)
+        states = list(_cascade_states(
+            noise, theta.values(grid.times()), sys, _block([0.3], 1, self.COUNT),
+            _block(xi0, 1, self.COUNT), grid, self.SEED, self.START))
+        xs = np.stack([x for x, _ in states], axis=1)
+        us = np.stack([u for _, u in states], axis=1)
+        for i in range(self.COUNT):
+            tu, tx = integrate_cascade(noise, theta, sys, [0.3], xi0, grid,
+                                       RngLineage(self.SEED, self.START + i))
+            assert np.array_equal(us[i], tu.states)
+            assert np.array_equal(xs[i], tx.states)
+
+    @pytest.mark.parametrize("mode", list(CouplingMode))
+    def test_pair_slot_agrees_with_single_path_2d(self, mode):
+        # BLAS may round a product differently for another row count, so
+        # for n >= 2 the agreement is to rounding, not bit for bit
+        from contracting_sde import validate_metric
+
+        metric = validate_metric([[2.0, 0.3], [0.3, 1.0]])
+        sys = affine_system([[-1.0, 0.4], [-0.3, -1.5]], [[1.0, 0.2], [0.0, 0.8]],
+                            [[0.3, 0.1], [0.05, 0.2]], metric)
+        grid = TimeGrid(0.0, 1e-2, 200)
+        ux, uy = InputSignal.sinusoid([1.0, 0.5]), InputSignal.constant([0.2, -0.1])
+        xs, ys = self._pair_block(sys, [1.0, -1.0], [0.0, 0.5], ux, uy, mode, grid)
+        for i in range(self.COUNT):
+            tx, ty = integrate_pair(sys, sys, [1.0, -1.0], [0.0, 0.5], ux, uy, mode, grid,
+                                    RngLineage(self.SEED, self.START + i))
+            for block, single in ((xs[i], tx.states), (ys[i], ty.states)):
+                assert np.max(np.abs(block - single)) <= 1e-14 * np.max(np.abs(single))
+            err_block = metric.batch_norm_sq(xs[i] - ys[i])
+            err_single = metric.batch_norm_sq(tx.states - ty.states)
+            assert np.max(np.abs(err_block - err_single)) <= 1e-14 * np.max(err_single)
+
+    def test_finite_check_names_first_bad_path(self):
+        from contracting_sde.integrate import _check_finite
+
+        for bad in (np.nan, np.inf):
+            x = np.zeros((5, 2))
+            x[3, 1] = bad
+            x[4, 0] = bad
+            with pytest.raises(DivergenceError) as exc:
+                _check_finite(x, 7, 100)
+            assert exc.value.path_index == 103
+            assert exc.value.step == 7
+
+    def test_finite_check_passes_finite_rows_whose_sum_overflows(self):
+        from contracting_sde.integrate import _check_finite
+
+        x = np.full((4, 1), 1e308)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(x.sum())
+            _check_finite(x, 1, 0)
+
+    def test_single_path_divergence_names_its_lineage(self):
+        exploding = SystemSpec(
+            state_dim=1, input_dim=1,
+            drift=lambda x, u: 1e3 * x,
+            dispersion=lambda x, u: np.zeros((1, 1)),
+            metric=identity_metric(1),
+            constants={"c": 1.0, "ell": 0.0, "sigma_x_sq": 0.0},
+        )
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
+            euler_maruyama(exploding, [1.0], ZERO, TimeGrid(0.0, 1.0, 200), RngLineage(0, 42))
+        assert exc.value.path_index == 42

@@ -9,21 +9,25 @@ import pytest
 from contracting_sde import (
     BoundParams,
     CascadeScenario,
+    ConfigError,
     CouplingMode,
     DivergenceError,
     Envelope,
     EquilibriumMap,
     InputError,
     InputSignal,
+    JDParams,
     MomentSeries,
     OUParams,
     PairScenario,
+    RngLineage,
     SystemSpec,
     TimeGrid,
     affine_system,
     check_envelope,
     compare_to_bound,
     identity_metric,
+    integrate_cascade,
     make_envelope,
     moment_growth_guard,
     ou_moment,
@@ -130,6 +134,29 @@ class TestTrackingErrorMoment:
         with pytest.raises(InputError):
             tracking_error_moment(sc, EquilibriumMap.affine([[1.0]]), "nope",
                                   n_paths=100, master_seed=0)
+
+    def test_jd_initial_input_outside_box_rejected_as_single_path(self):
+        theta = InputSignal.constant([0.5])
+        noise = JDParams(c=1.0, theta=theta, sigma_u=0.1, a=[1.0])
+        sys = scalar_tracker(1.0, 0.2)
+        grid = TimeGrid(0.0, 1e-2, 10)
+        sc = CascadeScenario(noise=noise, theta=theta, sys=sys, x0=[0.5], xi0=[1.5], grid=grid)
+        with pytest.raises(ConfigError) as ensemble:
+            tracking_error_moment(sc, EquilibriumMap.affine([[1.0]]), "stochastic_curve",
+                                  n_paths=100, master_seed=0)
+        with pytest.raises(ConfigError) as single:
+            integrate_cascade(noise, theta, sys, [0.5], [1.5], grid, RngLineage(0))
+        assert str(ensemble.value) == str(single.value)
+
+    def test_equilibrium_map_must_broadcast(self):
+        # written for one input vector: a batch collapses to a single sum
+        eq = EquilibriumMap(x_star=lambda u: np.atleast_1d(np.sum(u)), state_dim=1, input_dim=1)
+        sc = CascadeScenario(
+            noise=OUParams(c=1.0, sigma=0.1, dim=1), theta=InputSignal.constant([0.0]),
+            sys=scalar_tracker(1.0, 0.1), x0=[0.0], xi0=[0.0], grid=TimeGrid(0.0, 1e-2, 20),
+        )
+        with pytest.raises(InputError, match=r"expected \(21, 1\)"):
+            tracking_error_moment(sc, eq, "deterministic_curve", n_paths=100, master_seed=0)
 
     def test_didc_envelope_holds_on_small_scenario(self):
         # F = -2(x - theta), theta = sin t, system noise 0.2

@@ -2,6 +2,7 @@
 envelope, and the Gibbs stationarity checks."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from contracting_sde import (
     gibbs_check,
     gibbs_density,
     identity_metric,
+    parse_config,
+    run_scenario,
     stationarity_residual,
     validate_metric,
     verify_wasserstein_contraction,
@@ -251,6 +254,29 @@ class TestWassersteinSeries:
         )
         with pytest.raises(CapabilityError):
             wasserstein_series(sc, 2, master_seed=0)
+
+    def test_scenario_run_simulates_once(self, tmp_path, monkeypatch):
+        import contracting_sde.scenarios as scenarios_mod
+        import contracting_sde.wasserstein as wasserstein_mod
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return wasserstein_series(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios_mod, "wasserstein_series", counted)
+        monkeypatch.setattr(wasserstein_mod, "wasserstein_series", counted)
+        cfg = parse_config(json.dumps({
+            "scenario_kind": "wasserstein",
+            "system": {"name": "scalar_tracker", "c": 1.0, "sigma": 0.3},
+            "input_x": {"kind": "constant", "value": [0.0]},
+            "input_y": {"kind": "constant", "value": [0.0]},
+            "cloud": {"k": 64, "mean_x": [1.0], "mean_y": [0.0]},
+            "grid": {"dt": 0.01, "steps": 100},
+        }))
+        assert run_scenario(cfg, tmp_path / "bundle").holds
+        assert len(calls) == 1
 
     def test_cloud_shape_mismatch(self):
         sys = _scalar_ou_system()
