@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import enum
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 
 from .core import InputSignal, SystemSpec, TimeGrid
 from .errors import ConfigError, DivergenceError, InputError
-from .noise import JDParams, OUParams, RngLineage, jd_step_with_flag, ou_exact_step
+from .noise import JDParams, OUParams, RngLineage, _jd_step, _ou_exact_coeffs
 
 
 class CouplingMode(enum.Enum):
@@ -45,22 +44,52 @@ class Trajectory:
 CHUNK_SIZE = 512  # paths per chunk; fixed so results do not depend on n_workers
 
 
-def _draws(master_seed, start, count, steps, width):
-    """(count, steps, width) standard normals for paths start .. start+count-1.
+DRAW_BLOCK_BYTES = 16 << 20  # bound on one chunk's buffer of normals, whatever the horizon
 
-    Path i draws from the stream keyed (master_seed, i) in step order, so its
-    increments do not depend on the block it is stepped in.
+
+def _draws(master_seed, start, count, steps, width):
+    """Yield the (count, steps, width) standard normals of paths
+    start .. start+count-1 as consecutive time blocks (count, n, width) of
+    equal n, the last one possibly shorter.
+
+    Path i draws from the stream keyed (master_seed, i) in step order; its
+    stream is paused between blocks and resumed from the saved state, so
+    the blocks concatenate to one ``standard_normal((steps, width))`` call
+    per path and a path's increments do not depend on the block it is
+    stepped in. Every block is a view of one reused buffer of at most
+    DRAW_BLOCK_BYTES, valid until the next block is drawn.
     """
-    out = np.empty((count, steps, width))
+    span = max(1, min(steps, DRAW_BLOCK_BYTES // (8 * count * max(width, 1)) - 1))
+    # an odd row length keeps path rows from sitting a power-of-two stride
+    # apart, where the strided per-step reads would alias in the cache
+    buf = np.empty((count, span | 1, width))
     gen = RngLineage(master_seed, start).stream()
     # re-keying one Philox from its fresh state gives the same stream as a
     # new one, without the entropy draw that each construction makes
     fresh = gen.bit_generator.state
-    for i in range(count):
-        fresh["state"]["key"] = RngLineage(master_seed, start + i).key()
-        gen.bit_generator.state = fresh
-        gen.standard_normal(out=out[i])
-    return out
+    paused = [None] * count
+    for k0 in range(0, steps, span):
+        n = min(span, steps - k0)
+        block = buf[:, :n]
+        for i in range(count):
+            if k0 == 0:
+                fresh["state"]["key"] = RngLineage(master_seed, start + i).key()
+                gen.bit_generator.state = fresh
+            else:
+                gen.bit_generator.state = paused[i]
+            gen.standard_normal(out=block[i])
+            if k0 + n < steps:
+                paused[i] = gen.bit_generator.state
+        yield block
+
+
+def _steps(blocks):
+    """(k, z_k) for every step k of the blocked draws; z_k is a (count, width) view."""
+    k = 0
+    for block in blocks:
+        for j in range(block.shape[1]):
+            yield k, block[:, j]
+            k += 1
 
 
 def _check_finite(x, step, start):
@@ -132,18 +161,24 @@ def _diffuse(sys: SystemSpec, x, u, dB):
     return np.einsum("bnr,br->bn", S, dB)
 
 
-def _em_states(sys: SystemSpec, x, inputs, dt, Z, start):
+def _em_step(sys: SystemSpec, x, u, dt, dB, step, start):
+    """x + F(x, u) dt + Sigma(x, u) dB for the (N, n) block x; checked finite."""
+    x = x + np.asarray(sys.drift(x, u), dtype=float) * dt + _diffuse(sys, x, u, dB)
+    _check_finite(x, step, start)
+    return x
+
+
+def _em_states(sys: SystemSpec, x, inputs, dt, master_seed, start):
     """Yield the (N, n) block x_0, x_1, ..., x_steps of the Euler-Maruyama
     recursion x_{k+1} = x_k + F(x_k, u_k) dt + Sigma(x_k, u_k) sqrt(dt) Z_k.
 
-    ``inputs`` yields u_0, u_1, ... (one row for all paths, or one per path);
-    ``Z`` holds the (N, steps, r) standard normals.
+    ``inputs`` holds the (steps+1, m) rows u_0, ..., u_steps shared by all
+    paths; row i of x draws Z from the stream keyed (master_seed, start + i).
     """
     sq_dt = math.sqrt(dt)
     yield x
-    for k, u in zip(range(Z.shape[1]), inputs):
-        x = x + np.asarray(sys.drift(x, u), dtype=float) * dt + _diffuse(sys, x, u, Z[:, k] * sq_dt)
-        _check_finite(x, k + 1, start)
+    for k, z in _steps(_draws(master_seed, start, x.shape[0], len(inputs) - 1, sys.noise_dim)):
+        x = _em_step(sys, x, inputs[k], dt, z * sq_dt, k + 1, start)
         yield x
 
 
@@ -154,41 +189,49 @@ def _pair_states(sys_x, sys_y, x0, y0, ux_path, uy_path, mode, grid, master_seed
     common mode drives both systems with one r-block.
     """
     r_x = sys_x.noise_dim
-    width = r_x if mode is CouplingMode.COMMON else r_x + sys_y.noise_dim
-    Z = _draws(master_seed, start, x0.shape[0], grid.steps, width)
-    Zx, Zy = (Z, Z) if mode is CouplingMode.COMMON else (Z[:, :, :r_x], Z[:, :, r_x:])
-    return zip(_em_states(sys_x, x0, ux_path, grid.dt, Zx, start),
-               _em_states(sys_y, y0, uy_path, grid.dt, Zy, start))
-
-
-def _input_states(noise, theta_path, xi0, grid: TimeGrid, Zu):
-    """Yield the (N, m) input block u_k: theta + OU noise (exact transition)
-    or the Jacobi diffusion (xi0 is then u_0)."""
-    times = grid.times()
-    if isinstance(noise, JDParams):
-        u = xi0
-        yield u
-        for k in range(grid.steps):
-            u, _ = jd_step_with_flag(u, noise, times[k], grid.dt, Zu[:, k])
-            yield u
-    else:
-        xi = xi0
-        yield theta_path[0] + xi
-        for k in range(grid.steps):
-            xi = ou_exact_step(xi, noise, grid.dt, Zu[:, k])
-            yield theta_path[k + 1] + xi
+    common = mode is CouplingMode.COMMON
+    width = r_x if common else r_x + sys_y.noise_dim
+    sq_dt = math.sqrt(grid.dt)
+    x, y = x0, y0
+    yield x, y
+    for k, z in _steps(_draws(master_seed, start, x0.shape[0], grid.steps, width)):
+        if common:
+            dBx = dBy = z * sq_dt
+        else:
+            dBx, dBy = z[:, :r_x] * sq_dt, z[:, r_x:] * sq_dt
+        x = _em_step(sys_x, x, ux_path[k], grid.dt, dBx, k + 1, start)
+        y = _em_step(sys_y, y, uy_path[k], grid.dt, dBy, k + 1, start)
+        yield x, y
 
 
 def _cascade_states(noise, theta_path, sys, x0, xi0, grid, master_seed, start):
     """Yield (x_k, u_k) blocks of the input-noise cascade u_t -> x_t.
 
-    Each path-step draws m input normals, then r state normals; x_{k+1} is
+    u_k is theta_k + xi_k with xi stepped by the exact OU transition, or the
+    Jacobi diffusion (xi0 is then u_0) about its own ``noise.theta``. Each
+    path-step draws m input normals, then r state normals; x_{k+1} is
     stepped against the realized u_k.
     """
     m = noise.dim
-    Z = _draws(master_seed, start, x0.shape[0], grid.steps, m + sys.noise_dim)
-    drive, out = itertools.tee(_input_states(noise, theta_path, xi0, grid, Z[:, :, :m]))
-    return zip(_em_states(sys, x0, drive, grid.dt, Z[:, :, m:], start), out)
+    sq_dt = math.sqrt(grid.dt)
+    jd = isinstance(noise, JDParams)
+    if jd:
+        jd_theta = noise.theta.values(grid.times())
+        u = xi0
+    else:
+        decay, std = _ou_exact_coeffs(noise, grid.dt)
+        xi = xi0
+        u = theta_path[0] + xi
+    x = x0
+    yield x, u
+    for k, z in _steps(_draws(master_seed, start, x0.shape[0], grid.steps, m + sys.noise_dim)):
+        x = _em_step(sys, x, u, grid.dt, z[:, m:] * sq_dt, k + 1, start)
+        if jd:
+            u, _ = _jd_step(u, noise, jd_theta[k], grid.dt, z[:, :m])
+        else:
+            xi = decay * xi + std * z[:, :m]
+            u = theta_path[k + 1] + xi
+        yield x, u
 
 
 def _block(v, dim, count=1):
@@ -211,9 +254,8 @@ def euler_maruyama(
     """x_{k+1} = x_k + F(x_k, u(t_k)) dt + Sigma(x_k, u(t_k)) dB_k."""
     _warn_step_size(sys, grid)
     inputs = u.values(grid.times())
-    Z = _draws(lineage.master_seed, lineage.path_index, 1, grid.steps, sys.noise_dim)
     states = np.concatenate(list(_em_states(
-        sys, _block(x0, sys.state_dim), inputs, grid.dt, Z, lineage.path_index)))
+        sys, _block(x0, sys.state_dim), inputs, grid.dt, lineage.master_seed, lineage.path_index)))
     return Trajectory(grid=grid, states=states, input_record=inputs, lineage=lineage)
 
 

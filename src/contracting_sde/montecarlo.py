@@ -229,7 +229,6 @@ def ou_moment(
     exact = method == "exact"
 
     def worker(start, count):
-        Z = _draws(master_seed, start, count, grid.steps, p.dim)
         ps, pq = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
 
         def reduce(states, k):
@@ -239,28 +238,32 @@ def ou_moment(
             pq[k:k + len(sq)] = sq.sum(axis=1)
 
         # step-major blocks of states and noise terms, small enough to stay
-        # in cache; X[0] holds the last state of the previous block
+        # in cache, within each draw block; X[0] holds the last state of the
+        # previous block
         X = np.empty((_OU_STEP_BLOCK + 1, count, p.dim))
         W = np.empty((_OU_STEP_BLOCK, count, p.dim))
         X[0] = _block(x0, p.dim, count)
         reduce(X[:1], 0)
-        for k0 in range(0, grid.steps, _OU_STEP_BLOCK):
-            n = min(_OU_STEP_BLOCK, grid.steps - k0)
-            w = W[:n]
-            np.multiply(Z[:, k0:k0 + n].transpose(1, 0, 2), std if exact else scale, out=w)
-            if not exact:
-                w *= math.sqrt(grid.dt)
-            for j in range(n):
-                x, nx = X[j], X[j + 1]
-                if exact:
-                    np.multiply(x, decay, out=nx)
-                else:  # x - c x dt, without temporaries
-                    np.multiply(x, p.c, out=nx)
-                    nx *= grid.dt
-                    np.subtract(x, nx, out=nx)
-                nx += w[j]
-            reduce(X[1:n + 1], k0 + 1)
-            X[0] = X[n]
+        k0 = 0
+        for Z in _draws(master_seed, start, count, grid.steps, p.dim):
+            for j0 in range(0, Z.shape[1], _OU_STEP_BLOCK):
+                n = min(_OU_STEP_BLOCK, Z.shape[1] - j0)
+                w = W[:n]
+                np.multiply(Z[:, j0:j0 + n].transpose(1, 0, 2), std if exact else scale, out=w)
+                if not exact:
+                    w *= math.sqrt(grid.dt)
+                for j in range(n):
+                    x, nx = X[j], X[j + 1]
+                    if exact:
+                        np.multiply(x, decay, out=nx)
+                    else:  # x - c x dt, without temporaries
+                        np.multiply(x, p.c, out=nx)
+                        nx *= grid.dt
+                        np.subtract(x, nx, out=nx)
+                    nx += w[j]
+                reduce(X[1:n + 1], k0 + 1)
+                X[0] = X[n]
+                k0 += n
         return ps, pq
 
     return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)

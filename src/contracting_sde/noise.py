@@ -168,7 +168,12 @@ def jd_step_with_flag(u, p: JDParams, t: float, dt: float, z):
     z = np.asarray(z, dtype=float)
     if np.any(u < 0.0) or np.any(u > p.a):
         raise StateCorruptionError("JD state outside [0, a] on entry")
-    th = p.theta.value(t)
+    return _jd_step(u, p, p.theta.value(t), dt, z)
+
+
+def _jd_step(u, p: JDParams, th, dt: float, z):
+    """jd_step_with_flag with theta(t) given as the row ``th`` and no entry
+    check: a state it returned lies inside (0, a) by the clip."""
     var_term = np.clip(u * (p.a - u), 0.0, None)
     proposal = (
         u

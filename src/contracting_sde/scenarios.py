@@ -10,6 +10,7 @@ into one directory; the verdict drives the process exit code.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -353,13 +354,16 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v
-                        for v in row])
+def _write_csv(paths, header, rows):
+    """Format the CSV text once and write it to each of ``paths``."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v
+                    for v in row])
+    for path in paths:
+        path.write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
 def resolve_output_dir(cfg: ScenarioConfig, override: Optional[str], stem: str) -> Path:
@@ -435,12 +439,10 @@ def _run_scenario_inner(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Ve
 
     header = ["t", "mean_sq", "std_err", "bound_fixed_alpha", "bound_opt_alpha"]
     rows = zip(times, series.mean_sq, series.std_err, bound_fixed, bound_opt)
-    _write_csv(out_dir / "moments.csv", header, rows)
+    _write_csv([out_dir / "moments.csv", out_dir / "plotdata.csv"], header, rows)
     env_rows = [(t, a_fixed, b) for t, b in zip(times, bound_fixed)]
     env_rows += [(t, a_opt, b) for t, b in zip(times, bound_opt)]
-    _write_csv(out_dir / "envelope.csv", ["t", "alpha", "bound"], env_rows)
-    _write_csv(out_dir / "plotdata.csv", header,
-               zip(times, series.mean_sq, series.std_err, bound_fixed, bound_opt))
+    _write_csv([out_dir / "envelope.csv"], ["t", "alpha", "bound"], env_rows)
     _write_verdict(out_dir, cfg, verdict, extra={
         "alpha_fixed": a_fixed, "alpha_optimized": a_opt,
     })
@@ -482,10 +484,8 @@ def _run_wasserstein(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Verdi
     workers = int(d["n_workers"])
     times, w_emp, env = wasserstein_series(sc, p, seed, n_workers=workers)
     verdict = _wasserstein_verdict(times, w_emp, env, k)
-    _write_csv(out_dir / "wasserstein.csv", ["t", "w_p_empirical", "envelope"],
-               zip(times, w_emp, env))
-    _write_csv(out_dir / "plotdata.csv", ["t", "w_p_empirical", "envelope"],
-               zip(times, w_emp, env))
+    _write_csv([out_dir / "wasserstein.csv", out_dir / "plotdata.csv"],
+               ["t", "w_p_empirical", "envelope"], zip(times, w_emp, env))
     _write_verdict(out_dir, cfg, verdict, extra={"p": d["p"], "k": k})
     return verdict
 
@@ -533,8 +533,8 @@ def _run_gibbs(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Verdict:
     crit = 1.63 / math.sqrt(samples.shape[0])  # 1% KS critical value
     holds = res["ks_stat"] <= crit
     density = gibbs_density(f, sigma, grid1d)
-    _write_csv(out_dir / "gibbs.csv", ["x", "density_model"], zip(grid1d, density))
-    _write_csv(out_dir / "plotdata.csv", ["x", "density_model"], zip(grid1d, density))
+    _write_csv([out_dir / "gibbs.csv", out_dir / "plotdata.csv"], ["x", "density_model"],
+               zip(grid1d, density))
     verdict = Verdict(holds=bool(holds),
                       worst_margin=float(crit - res["ks_stat"]) / crit,
                       worst_t=grid.horizon,

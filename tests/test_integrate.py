@@ -162,11 +162,15 @@ class TestIntegrateCascade:
         theta = InputSignal.constant([0.5])
         noise = OUParams(c=c, sigma=sigma_xi, dim=1)
         grid = TimeGrid(0.0, 2e-3, 4000)
+        # the lineages RngLineage(21, i), i < 200, as one block: in 1-D each
+        # slot is bit-identical to integrate_cascade on that lineage
+        from contracting_sde.integrate import _block, _cascade_states
+        states = _cascade_states(noise, theta.values(grid.times()), sys, _block([0.5], 1, 200),
+                                 _block([0.0], 1, 200), grid, 21, 0)
+        xs = np.stack([x[:, 0] for x, _ in states], axis=1)  # (paths, steps+1)
         errs = []
-        for i in range(200):
-            _, x_traj = integrate_cascade(noise, theta, sys, [0.5], [0.0],
-                                          grid, RngLineage(21, i))
-            tail = x_traj.states[-800:, 0] - 0.5
+        for path in xs:
+            tail = path[-800:] - 0.5
             errs.append(float(np.mean(tail**2)))
         emp = float(np.mean(errs))
         p = BoundParams(c=c, ell=c, sigma_x_sq=sigma**2, sigma_xi_sq=sigma_xi**2)
@@ -243,9 +247,12 @@ class TestMomentSanity:
         grid = TimeGrid(0.0, 1e-3, 2000)
         acc = np.zeros(grid.steps + 1)
         n = 200
-        for i in range(n):
-            traj = euler_maruyama(sys, [1.0], ZERO, grid, RngLineage(6, i))
-            acc += traj.states[:, 0] ** 2
+        # the lineages RngLineage(6, i), i < n, as one block: in 1-D each
+        # slot is bit-identical to euler_maruyama on that lineage
+        from contracting_sde.integrate import _block, _em_states
+        states = _em_states(sys, _block([1.0], 1, n), ZERO.values(grid.times()), grid.dt, 6, 0)
+        for path in np.stack([x[:, 0] for x in states], axis=1):
+            acc += path**2
         mean_sq = acc / n
         envelope = (1.0 + 1.0) * np.exp((1.0 + L) * grid.times())
         assert np.all(mean_sq <= envelope)
@@ -265,8 +272,17 @@ class TestSharedKernel:
             ux.values(grid.times()), uy.values(grid.times()), mode, grid, self.SEED, self.START))
         return np.stack([x for x, _ in states], axis=1), np.stack([y for _, y in states], axis=1)
 
-    @pytest.mark.parametrize("mode", list(CouplingMode))
-    def test_pair_slot_bit_identical_to_single_path_1d(self, mode):
+    # a budget at which the COUNT-row block of a 200-step horizon spans
+    # 4 or more draw blocks, the last one partial (a single path spans fewer)
+    SMALL_BUDGET = 8 * COUNT * 47
+
+    def _assert_spans_blocks(self, steps, width):
+        from contracting_sde.integrate import _draws
+
+        spans = [b.shape[1] for b in _draws(self.SEED, self.START, self.COUNT, steps, width)]
+        assert len(spans) >= 3 and spans[-1] < spans[0]
+
+    def _assert_pair_slots_bit_identical(self, mode):
         sys = scalar_tracker(1.5, 0.4)
         grid = TimeGrid(0.0, 1e-2, 200)
         ux, uy = InputSignal.sinusoid([1.0]), ZERO
@@ -277,8 +293,31 @@ class TestSharedKernel:
             assert np.array_equal(xs[i], tx.states)
             assert np.array_equal(ys[i], ty.states)
 
+    @pytest.mark.parametrize("mode", list(CouplingMode))
+    def test_pair_slot_bit_identical_to_single_path_1d(self, mode):
+        self._assert_pair_slots_bit_identical(mode)
+
+    @pytest.mark.parametrize("mode", list(CouplingMode))
+    def test_pair_slot_bit_identical_across_draw_blocks(self, mode, monkeypatch):
+        from contracting_sde import integrate
+
+        monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", self.SMALL_BUDGET)
+        self._assert_spans_blocks(200, 1 if mode is CouplingMode.COMMON else 2)
+        self._assert_pair_slots_bit_identical(mode)
+
     @pytest.mark.parametrize("kind", ["ou", "jd"])
     def test_cascade_slot_bit_identical_to_single_path_1d(self, kind):
+        self._assert_cascade_slots_bit_identical(kind)
+
+    @pytest.mark.parametrize("kind", ["ou", "jd"])
+    def test_cascade_slot_bit_identical_across_draw_blocks(self, kind, monkeypatch):
+        from contracting_sde import integrate
+
+        monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", self.SMALL_BUDGET)
+        self._assert_spans_blocks(200, 2)
+        self._assert_cascade_slots_bit_identical(kind)
+
+    def _assert_cascade_slots_bit_identical(self, kind):
         from contracting_sde.integrate import _block, _cascade_states
 
         sys = scalar_tracker(1.0, 0.2)
@@ -319,6 +358,37 @@ class TestSharedKernel:
             err_block = metric.batch_norm_sq(xs[i] - ys[i])
             err_single = metric.batch_norm_sq(tx.states - ty.states)
             assert np.max(np.abs(err_block - err_single)) <= 1e-14 * np.max(err_single)
+
+    @pytest.mark.parametrize("seed, start, count, width", [
+        (-5, 2**64 - 3, 6, 2),  # negative seed; keys wrap past 2^64
+        (7, 0, 1, 3),
+        (123, 40, 5, 1),
+    ])
+    def test_blocked_draws_equal_one_call_per_path(self, seed, start, count, width, monkeypatch):
+        from contracting_sde import integrate
+
+        steps = 150
+        monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", 8 * count * width * 41)
+        blocks = [b.copy() for b in integrate._draws(seed, start, count, steps, width)]
+        assert [b.shape[1] for b in blocks] == [40, 40, 40, 30]
+        drawn = np.concatenate(blocks, axis=1)
+        for i in range(count):
+            ref = RngLineage(seed, start + i).stream().standard_normal((steps, width))
+            assert np.array_equal(drawn[i], ref)
+
+    def test_system_without_noise_columns_draws_nothing(self):
+        sys = affine_system([[-1.0]], [[1.0]], np.zeros((1, 0)), identity_metric(1))
+        grid = TimeGrid(0.0, 1e-2, 100)
+        traj = euler_maruyama(sys, [1.0], ZERO, grid, RngLineage(0))
+        assert np.allclose(traj.states[:, 0], (1.0 - grid.dt) ** np.arange(grid.steps + 1),
+                           rtol=1e-12, atol=0.0)
+
+    def test_draw_buffer_is_bounded_whatever_the_horizon(self):
+        from contracting_sde import integrate
+
+        for steps in (10, 10_000, 1_000_000):
+            block = next(integrate._draws(0, 0, 512, steps, 2))
+            assert block.base.nbytes <= integrate.DRAW_BLOCK_BYTES
 
     def test_finite_check_names_first_bad_path(self):
         from contracting_sde.integrate import _check_finite

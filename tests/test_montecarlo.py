@@ -179,6 +179,25 @@ class TestTrackingErrorMoment:
             assert verdict.holds, f"alpha={alpha}: margin {verdict.worst_margin}"
         assert check_envelope(series, env, "optimized").holds
 
+    def test_draw_memory_does_not_grow_with_the_horizon(self):
+        # 100 paths x 50k steps of m + r = 2 normals: 80 MB if drawn at once
+        import tracemalloc
+
+        from contracting_sde.integrate import DRAW_BLOCK_BYTES
+
+        sc = CascadeScenario(
+            noise=OUParams(c=1.0, sigma=0.3, dim=1), theta=InputSignal.constant([0.5]),
+            sys=scalar_tracker(1.0, 0.2), x0=[0.5], xi0=[0.0], grid=TimeGrid(0.0, 1e-3, 50_000),
+        )
+        tracemalloc.start()
+        try:
+            tracking_error_moment(sc, EquilibriumMap.affine([[1.0]]), "deterministic_curve",
+                                  n_paths=100, master_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * DRAW_BLOCK_BYTES
+
 
 class TestOuMoment:
     def test_exact_matches_closed_form_everywhere(self):
