@@ -231,6 +231,10 @@ class SystemSpec:
     (an (N, n) state block maps to (N, n) drifts); all built-in affine
     systems do. ``constants`` carries the certified contraction rate c,
     input Lipschitz constant ell and dispersion bound sigma_x_sq.
+
+    ``affine = (A, B)`` states that drift(x, u) = A x + B u; it requires the
+    constant ``dispersion_matrix`` Sigma. The integrators then step the
+    system from these matrices instead of calling the closures.
     """
 
     state_dim: int
@@ -242,6 +246,7 @@ class SystemSpec:
     noise_dim: int = 1
     dispersion_matrix: Optional[np.ndarray] = None  # set when constant in (x, u)
     lipschitz_budget: Optional[float] = None
+    affine: Optional[tuple] = None  # (A, B) of an affine drift A x + B u
 
     def __post_init__(self):
         c = self.constants.get("c")
@@ -251,6 +256,16 @@ class SystemSpec:
             raise InputError("constants.sigma_x_sq must be nonnegative")
         if self.constants.get("ell", 0.0) < 0:
             raise InputError("constants.ell must be nonnegative")
+        if self.affine is not None:
+            A, B = (np.asarray(M, dtype=float) for M in self.affine)
+            n, m, S = self.state_dim, self.input_dim, self.dispersion_matrix
+            if (A.shape != (n, n) or B.shape != (n, m) or S is None
+                    or np.shape(S) != (n, self.noise_dim)):
+                raise InputError(
+                    "an affine system needs A (n x n), B (n x m) and a "
+                    "dispersion_matrix (n x noise_dim)"
+                )
+            object.__setattr__(self, "affine", (A, B))
 
 
 def affine_system(A, B, Sigma, metric: Metric, lipschitz_budget=None) -> SystemSpec:
@@ -308,6 +323,7 @@ def affine_system(A, B, Sigma, metric: Metric, lipschitz_budget=None) -> SystemS
         noise_dim=r,
         dispersion_matrix=Sigma,
         lipschitz_budget=lipschitz_budget,
+        affine=(A, B),
     )
 
 

@@ -2,15 +2,22 @@
 norm, standard errors, tail averages, and envelope-domination verdicts.
 
 Paths are independent work items keyed by (master_seed, path_index). Every
-ensemble steps through the batched kernels of ``integrate`` that the
-single-path integrators also run, on a block of one, and each path's
-Gaussian draws come from its own counter-based stream in the same order.
-In one dimension an ensemble path is therefore bit-identical to the
-single-path run of the same lineage; for n >= 2 the two agree to rounding
-(about 1e-16 relative), because BLAS may round a matrix product
-differently for a different number of rows. Ensembles are processed in
-fixed-size chunks whose partial sums are merged in chunk order, which makes
-results independent of the worker count.
+ensemble steps through the one batched kernel of ``integrate``, which the
+single-path integrators run on a block of one: sub-blocks of
+``_STEP_BLOCK`` steps in step-major buffers, where a system given as data
+(``SystemSpec.affine`` with its dispersion matrix) has its noise and input
+terms computed once per sub-block and its states stepped in place. The
+moments of a sub-block are reduced at once: one product with the metric's
+Cholesky factor, one einsum, and row sums over contiguous rows, which are
+the same pairwise sums as summing each step alone. Each path's Gaussian
+draws come from its own counter-based stream in the same order. In one
+dimension an ensemble path is therefore bit-identical to the single-path
+run of the same lineage and to stepping the drift and dispersion closures
+of the same system one step at a time; for n >= 2 these agree to within
+1e-14 relative, because BLAS may round a matrix product differently for a
+different number of rows. Ensembles are processed in fixed-size chunks
+whose partial sums are merged in chunk order, which makes results
+independent of the worker count.
 """
 
 from __future__ import annotations
@@ -26,18 +33,19 @@ from .core import EquilibriumMap, InputSignal, SystemSpec, TimeGrid
 from .errors import DivergenceError, InputError
 from .integrate import (
     CHUNK_SIZE,  # noqa: F401 - the ensembles' chunk size, importable from here
+    _STEP_BLOCK,
     CouplingMode,
+    _apply,
     _block,
-    _cascade_states,
+    _blocks,
+    _cascade_blocks,
     _check_cascade,
     _check_pair,
     _draws,
-    _pair_states,
+    _product,
     _run_chunks,
 )
 from .noise import JDParams, OUParams, _ou_exact_coeffs
-
-_OU_STEP_BLOCK = 128  # steps per block in ou_moment
 
 
 @dataclass(frozen=True)
@@ -94,13 +102,24 @@ class CascadeScenario:
     unsafe: bool = False
 
 
-def _moment_sums(errors, steps):
-    """Per-step (sum, sum of squares) of one chunk's squared errors."""
-    ps = np.zeros(steps + 1)
-    pq = np.zeros(steps + 1)
-    for k, e in enumerate(errors):
-        ps[k], pq[k] = e.sum(), (e**2).sum()
-    return ps, pq
+def _moment_block(E, weight, ps, pq, k):
+    """Write the sum and the sum of squares over the paths of the squared
+    norm ||e||^2 at steps k .. k+S-1 into ps and pq, for the step-major
+    (S, N, n) block E of errors e.
+
+    ``weight`` is ``_product(chol)`` of a metric, ||e||_P^2 =
+    ||e chol||_2^2, or None for the Euclidean norm; an elementwise weight
+    overwrites E. Each step's sums are row sums over contiguous rows, the
+    same pairwise sums as summing that step's (N,) vector alone.
+    """
+    if weight is not None:
+        out = E if weight[0] is np.multiply else np.empty_like(E)
+        _apply(weight, E, out)
+        E = out
+    sq = np.einsum("kbi,kbi->kb", E, E)
+    ps[k:k + len(sq)] = sq.sum(axis=1)
+    sq *= sq
+    pq[k:k + len(sq)] = sq.sum(axis=1)
 
 
 def _finalize(grid, partials, n_paths):
@@ -129,32 +148,34 @@ def pair_error_moment(
     sc = scenario
     _check_pair(sc.sys_x, sc.sys_y, sc.mode, sc.grid)
     grid = sc.grid
-    metric = sc.sys_x.metric
+    weight = _product(sc.sys_x.metric.chol)
     times = grid.times()
     ux_path = sc.u_x.values(times)
     uy_path = sc.u_y.values(times)
 
-    def errors(states, start):
-        for k, (x, y) in enumerate(states):
-            if debug_guard is not None and k > 0:
-                _apply_guard(x, times[k], debug_guard, start, k)
-            yield metric.batch_norm_sq(x - y)
-
     def worker(start, count):
-        states = _pair_states(
-            sc.sys_x, sc.sys_y, _block(sc.x0, sc.sys_x.state_dim, count),
-            _block(sc.y0, sc.sys_y.state_dim, count), ux_path, uy_path, sc.mode, grid,
-            master_seed, start)
-        return _moment_sums(errors(states, start), grid.steps)
+        ps, pq = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
+        blocks = _blocks(
+            [sc.sys_x, sc.sys_y],
+            [_block(sc.x0, sc.sys_x.state_dim, count), _block(sc.y0, sc.sys_y.state_dim, count)],
+            [ux_path, uy_path], grid, master_seed, start, common=sc.mode is CouplingMode.COMMON)
+        for k, (x, y) in blocks:
+            if debug_guard is not None and k > 0:
+                _apply_guard(x, times[k:k + len(x)], debug_guard, start, k)
+            _moment_block(x - y, weight, ps, pq, k)
+        return ps, pq
 
     return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)
 
 
-def _apply_guard(x, t, guard, chunk_start, step):
-    sq = np.einsum("bi,bi->b", x, x)
-    bad = sq > guard(t)
+def _apply_guard(x, ts, guard, chunk_start, k):
+    """Raise at the first step, then path, of the (S, N, n) block x at steps
+    k, k+1, ... whose squared norm exceeds guard(t)."""
+    sq = np.einsum("kbi,kbi->kb", x, x)
+    bad = sq > np.array([guard(t) for t in ts])[:, None]
     if np.any(bad):
-        idx = chunk_start + int(np.flatnonzero(bad)[0])
+        j, i = divmod(int(np.flatnonzero(bad)[0]), x.shape[1])
+        idx, step = chunk_start + i, k + j
         raise DivergenceError(
             f"path {idx} escaped the moment guard at step {step}",
             step=step, path_index=idx,
@@ -192,20 +213,22 @@ def tracking_error_moment(
     sc = scenario
     grid, sys, noise = sc.grid, sc.sys, sc.noise
     _check_cascade(noise, sys, sc.xi0, grid, sc.unsafe)
-    metric = sys.metric
+    weight = _product(sys.metric.chol)
     n = sys.state_dim
     theta_path = sc.theta.values(grid.times())
     xstar_det = _x_star_batch(eq_map, theta_path, n)  # (steps+1, n)
 
     def worker(start, count):
-        states = _cascade_states(
-            noise, theta_path, sys, _block(sc.x0, n, count), _block(sc.xi0, noise.dim, count),
-            grid, master_seed, start)
-        if target == "deterministic_curve":
-            errs = (metric.batch_norm_sq(x - xstar_det[k]) for k, (x, _) in enumerate(states))
-        else:
-            errs = (metric.batch_norm_sq(x - _x_star_batch(eq_map, u, n)) for x, u in states)
-        return _moment_sums(errs, grid.steps)
+        ps, pq = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
+        blocks = _cascade_blocks(noise, theta_path, sys, _block(sc.x0, n, count),
+                                 _block(sc.xi0, noise.dim)[0], grid, master_seed, start)
+        for k, (x, u) in blocks:
+            if target == "deterministic_curve":
+                e = x - xstar_det[k:k + len(x), None]
+            else:
+                e = x - _x_star_batch(eq_map, u.reshape(-1, noise.dim), n).reshape(x.shape)
+            _moment_block(e, weight, ps, pq, k)
+        return ps, pq
 
     return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)
 
@@ -230,24 +253,17 @@ def ou_moment(
 
     def worker(start, count):
         ps, pq = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
-
-        def reduce(states, k):
-            sq = np.einsum("kbi,kbi->kb", states, states)
-            ps[k:k + len(sq)] = sq.sum(axis=1)
-            sq *= sq
-            pq[k:k + len(sq)] = sq.sum(axis=1)
-
         # step-major blocks of states and noise terms, small enough to stay
         # in cache, within each draw block; X[0] holds the last state of the
         # previous block
-        X = np.empty((_OU_STEP_BLOCK + 1, count, p.dim))
-        W = np.empty((_OU_STEP_BLOCK, count, p.dim))
+        X = np.empty((_STEP_BLOCK + 1, count, p.dim))
+        W = np.empty((_STEP_BLOCK, count, p.dim))
         X[0] = _block(x0, p.dim, count)
-        reduce(X[:1], 0)
+        _moment_block(X[:1], None, ps, pq, 0)
         k0 = 0
         for Z in _draws(master_seed, start, count, grid.steps, p.dim):
-            for j0 in range(0, Z.shape[1], _OU_STEP_BLOCK):
-                n = min(_OU_STEP_BLOCK, Z.shape[1] - j0)
+            for j0 in range(0, Z.shape[1], _STEP_BLOCK):
+                n = min(_STEP_BLOCK, Z.shape[1] - j0)
                 w = W[:n]
                 np.multiply(Z[:, j0:j0 + n].transpose(1, 0, 2), std if exact else scale, out=w)
                 if not exact:
@@ -261,7 +277,7 @@ def ou_moment(
                         nx *= grid.dt
                         np.subtract(x, nx, out=nx)
                     nx += w[j]
-                reduce(X[1:n + 1], k0 + 1)
+                _moment_block(X[1:n + 1], None, ps, pq, k0 + 1)
                 X[0] = X[n]
                 k0 += n
         return ps, pq
@@ -270,7 +286,8 @@ def ou_moment(
 
 
 def check_envelope(series: MomentSeries, env: Envelope, alpha_policy) -> Verdict:
-    """Compare an empirical moment series against a bound with 3-SE slack.
+    """Compare an empirical moment series against a bound with 3-SE slack
+    (see ``compare_to_bound`` for points where the SE is 0).
 
     ``alpha_policy`` is ("fixed", alpha) or "optimized"; the optimized policy
     minimizes the tail form of the envelope (falling back to the final time
@@ -299,12 +316,19 @@ def _resolve_alpha(env: Envelope, alpha_policy, grid: TimeGrid) -> float:
     return float(alpha)
 
 
+_ROUNDING_ULPS = 16  # slack at zero-variance points, in ulp of the largest bound
+
+
 def compare_to_bound(series: MomentSeries, bound: np.ndarray) -> Verdict:
     """Verdict for a precomputed bound array aligned with the series grid."""
     bound = np.asarray(bound, dtype=float)
     if bound.shape != series.mean_sq.shape:
         raise InputError("bound array does not match the series grid")
-    slack = 3.0 * series.std_err
+    # where std_err is 0 every path holds the same value (as at t = 0), so
+    # only rounding separates the two sides; the envelope's floor terms
+    # cancel there to within a few ulp of its largest value
+    se = series.std_err
+    slack = np.where(se > 0.0, 3.0 * se, _ROUNDING_ULPS * np.spacing(np.abs(bound).max()))
     ok = series.mean_sq <= bound + slack
     margins = (bound - series.mean_sq) / np.maximum(bound, 1e-12)
     i = int(np.argmin(margins))
@@ -312,7 +336,8 @@ def compare_to_bound(series: MomentSeries, bound: np.ndarray) -> Verdict:
         holds=bool(np.all(ok)),
         worst_margin=float(margins[i]),
         worst_t=float(series.times()[i]),
-        slack_rule="mean_sq <= bound + 3*std_err at every grid point",
+        slack_rule=("mean_sq <= bound + 3*std_err at every grid point; where std_err = 0, "
+                    f"mean_sq <= bound + {_ROUNDING_ULPS} ulp of the largest bound"),
     )
 
 

@@ -168,22 +168,26 @@ def jd_step_with_flag(u, p: JDParams, t: float, dt: float, z):
     z = np.asarray(z, dtype=float)
     if np.any(u < 0.0) or np.any(u > p.a):
         raise StateCorruptionError("JD state outside [0, a] on entry")
-    return _jd_step(u, p, p.theta.value(t), dt, z)
+    proposal = _jd_proposal(u, p, p.theta.value(t), dt, z)
+    clipped = np.clip(proposal, *_jd_bounds(p))
+    return clipped, int(np.count_nonzero(clipped != proposal))
 
 
-def _jd_step(u, p: JDParams, th, dt: float, z):
-    """jd_step_with_flag with theta(t) given as the row ``th`` and no entry
-    check: a state it returned lies inside (0, a) by the clip."""
+def _jd_proposal(u, p: JDParams, th, dt: float, z):
+    """The Euler proposal of jd_step_with_flag before the micro-clamp, with
+    theta(t) given as the row ``th`` and no entry check."""
     var_term = np.clip(u * (p.a - u), 0.0, None)
-    proposal = (
+    return (
         u
         - p.c * (u - th) * dt
         + p.sigma_u * np.sqrt(var_term) * z * math.sqrt(dt)
     )
+
+
+def _jd_bounds(p: JDParams):
+    """The micro-clamp interval [eps_b, a - eps_b]; a clamped state lies inside (0, a)."""
     eps = _CLAMP_REL * p.a
-    clipped = np.clip(proposal, eps, p.a - eps)
-    n_clamped = int(np.count_nonzero(clipped != proposal))
-    return clipped, n_clamped
+    return eps, p.a - eps
 
 
 def jd_step(u, p: JDParams, t: float, dt: float, z):

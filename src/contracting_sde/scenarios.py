@@ -27,6 +27,8 @@ from .core import (
     EquilibriumMap,
     InputSignal,
     TimeGrid,
+    affine_system,
+    scalar_tracker,
     validate_metric,
 )
 from .errors import ConfigError
@@ -225,8 +227,6 @@ def _build_signal(spec: dict) -> InputSignal:
 
 
 def _build_system(spec: dict):
-    from .core import affine_system, scalar_tracker
-
     if "name" in spec:
         if spec["name"] != "scalar_tracker":
             raise ConfigError(f"unknown system name '{spec['name']}'")
@@ -258,13 +258,12 @@ def _signal_sq_fn(fn_of_t):
     return g
 
 
-def _bound_params(cfg: ScenarioConfig, cert, grid: TimeGrid):
+def _bound_params(cfg: ScenarioConfig, cert, grid: TimeGrid, metric):
     """Assemble envelope parameters from the certificate and the config."""
     d = cfg.data
     kind = cfg.kind
     c, ell, sx = cert.c_hat, cert.ell_hat, cert.sigma_x_sq_hat
     times = grid.times()
-    metric = _build_system(d["system"]).metric
     kwargs = dict(c=c, ell=ell, sigma_x_sq=sx)
     if kind in ("niss_pair", "niss_vs_ode"):
         u_x, u_y = _build_signal(d["input_x"]), _build_signal(d["input_y"])
@@ -307,21 +306,15 @@ def _bound_params(cfg: ScenarioConfig, cert, grid: TimeGrid):
     return bnd.BoundParams(**kwargs)
 
 
-def _simulate_moments(cfg: ScenarioConfig, grid: TimeGrid) -> MomentSeries:
+def _simulate_moments(cfg: ScenarioConfig, grid: TimeGrid, sys) -> MomentSeries:
     d = cfg.data
     kind = cfg.kind
-    sys = _build_system(d["system"])
     n_paths, seed = int(d["n_paths"]), int(d["master_seed"])
     workers = int(d["n_workers"])
     if kind in ("niss_pair", "niss_vs_ode"):
         sys_y = sys
         if kind == "niss_vs_ode":
-            sysd = dict(d["system"])
-            if "name" in sysd:
-                sysd = {"name": sysd["name"], "c": sysd["c"], "sigma": 0.0}
-            else:
-                sysd["Sigma"] = (np.asarray(sysd["Sigma"], dtype=float) * 0.0).tolist()
-            sys_y = _build_system(sysd)
+            sys_y = affine_system(*sys.affine, sys.dispersion_matrix * 0.0, sys.metric)
         mode = CouplingMode.COMMON if d.get("coupling") == "common" else CouplingMode.INDEPENDENT
         sc = PairScenario(
             sys_x=sys, sys_y=sys_y,
@@ -401,18 +394,8 @@ def _run_scenario_inner(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Ve
         return _run_wasserstein(cfg, out_dir, dry_run)
     d = cfg.data
     grid = _build_grid(d["grid"])
-    sysd = d["system"]
-    if "name" in sysd:
-        sys = _build_system(sysd)
-        A = [[-sys.constants["c"]]]
-        B = [[sys.constants["c"]]]
-        Sigma = np.atleast_2d(sys.dispersion_matrix)
-        P = sys.metric.P
-    else:
-        A, B = sysd["A"], sysd["B"]
-        Sigma = sysd["Sigma"]
-        P = np.asarray(sysd.get("P", np.eye(np.asarray(A).shape[0])), dtype=float)
-    cert = certify_affine(A, B, Sigma, validate_metric(P))
+    sys = _build_system(d["system"])
+    cert = certify_affine(*sys.affine, sys.dispersion_matrix, sys.metric)
     (out_dir / "certificate.json").write_text(cert.to_json() + "\n", encoding="utf-8")
     if dry_run:
         (out_dir / "verdict.json").write_text(json.dumps(
@@ -421,9 +404,9 @@ def _run_scenario_inner(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Ve
         return Verdict(holds=True, worst_margin=math.inf, worst_t=grid.t0,
                        slack_rule="dry run: no simulation")
 
-    params = _bound_params(cfg, cert, grid)
+    params = _bound_params(cfg, cert, grid, sys.metric)
     env = bnd.make_envelope(_ENVELOPE_KIND[cfg.kind], params)
-    series = _simulate_moments(cfg, grid)
+    series = _simulate_moments(cfg, grid, sys)
     times = series.times()
     a_fixed = float(d["alpha_fixed"])
     a_opt = _resolve_alpha(env, "optimized", grid)
@@ -453,12 +436,7 @@ def _run_wasserstein(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Verdi
     d = cfg.data
     grid = _build_grid(d["grid"])
     sys = _build_system(d["system"])
-    sysd = d["system"]
-    if "name" in sysd:
-        cert = certify_affine([[-sys.constants["c"]]], [[sys.constants["c"]]],
-                              np.atleast_2d(sys.dispersion_matrix), sys.metric)
-    else:
-        cert = certify_affine(sysd["A"], sysd["B"], sysd["Sigma"], sys.metric)
+    cert = certify_affine(*sys.affine, sys.dispersion_matrix, sys.metric)
     (out_dir / "certificate.json").write_text(cert.to_json() + "\n", encoding="utf-8")
     if dry_run:
         (out_dir / "verdict.json").write_text(json.dumps(

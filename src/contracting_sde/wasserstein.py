@@ -22,7 +22,7 @@ import scipy.sparse.csgraph
 from .bounds import decay_convolution
 from .core import InputSignal, Metric, SystemSpec, TimeGrid
 from .errors import CapabilityError, CapacityError, DomainError, InputError
-from .integrate import CouplingMode, _check_pair, _pair_states, _run_chunks
+from .integrate import CouplingMode, _blocks, _check_pair, _run_chunks
 from .montecarlo import Verdict
 
 MAX_SAMPLES = 2048
@@ -194,20 +194,19 @@ def wasserstein_series(
         idx = np.unique([int(round((t - grid.t0) / grid.dt)) for t in checkpoints])
         if np.any(idx < 0) or np.any(idx > grid.steps):
             raise InputError("checkpoint outside the time grid")
-    pos = {int(j): a for a, j in enumerate(idx)}
     ux_path = sc.u_x.values(times)
     uy_path = sc.u_y.values(times)
 
     def worker(start, count):
         xs_ck = np.empty((idx.shape[0], count, sc.x0_samples.shape[1]))
         ys_ck = np.empty_like(xs_ck)
-        states = _pair_states(
-            sc.sys_x, sc.sys_y, sc.x0_samples[start:start + count],
-            sc.y0_samples[start:start + count], ux_path, uy_path, CouplingMode.COMMON,
-            grid, master_seed, start)
-        for j, (x, y) in enumerate(states):
-            if j in pos:
-                xs_ck[pos[j]], ys_ck[pos[j]] = x, y
+        blocks = _blocks(
+            [sc.sys_x, sc.sys_y],
+            [sc.x0_samples[start:start + count], sc.y0_samples[start:start + count]],
+            [ux_path, uy_path], grid, master_seed, start, common=True)
+        for k, (x, y) in blocks:
+            a, b = np.searchsorted(idx, [k, k + len(x)])
+            xs_ck[a:b], ys_ck[a:b] = x[idx[a:b] - k], y[idx[a:b] - k]
         return xs_ck, ys_ck
 
     parts = _run_chunks(worker, sc.k, n_workers)

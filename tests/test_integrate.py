@@ -2,6 +2,7 @@
 input-noise cascades and the RK4 reference solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,10 +165,11 @@ class TestIntegrateCascade:
         grid = TimeGrid(0.0, 2e-3, 4000)
         # the lineages RngLineage(21, i), i < 200, as one block: in 1-D each
         # slot is bit-identical to integrate_cascade on that lineage
-        from contracting_sde.integrate import _block, _cascade_states
-        states = _cascade_states(noise, theta.values(grid.times()), sys, _block([0.5], 1, 200),
-                                 _block([0.0], 1, 200), grid, 21, 0)
-        xs = np.stack([x[:, 0] for x, _ in states], axis=1)  # (paths, steps+1)
+        from contracting_sde.integrate import _block, _cascade_blocks, _collect
+        xs, _ = _collect(_cascade_blocks(noise, theta.values(grid.times()), sys,
+                                         _block([0.5], 1, 200), np.zeros(1), grid, 21, 0),
+                         grid.steps)
+        xs = xs[:, :, 0].T  # (paths, steps+1)
         errs = []
         for path in xs:
             tail = path[-800:] - 0.5
@@ -249,9 +251,10 @@ class TestMomentSanity:
         n = 200
         # the lineages RngLineage(6, i), i < n, as one block: in 1-D each
         # slot is bit-identical to euler_maruyama on that lineage
-        from contracting_sde.integrate import _block, _em_states
-        states = _em_states(sys, _block([1.0], 1, n), ZERO.values(grid.times()), grid.dt, 6, 0)
-        for path in np.stack([x[:, 0] for x in states], axis=1):
+        from contracting_sde.integrate import _block, _blocks, _collect
+        (xs,) = _collect(_blocks([sys], [_block([1.0], 1, n)], [ZERO.values(grid.times())],
+                                 grid, 6, 0), grid.steps)
+        for path in xs[:, :, 0].T:
             acc += path**2
         mean_sq = acc / n
         envelope = (1.0 + 1.0) * np.exp((1.0 + L) * grid.times())
@@ -265,12 +268,14 @@ class TestSharedKernel:
     SEED, START, COUNT = 11, 3, 6
 
     def _pair_block(self, sys, x0, y0, ux, uy, mode, grid):
-        from contracting_sde.integrate import _block, _pair_states
+        from contracting_sde.integrate import _block, _blocks, _collect
 
-        states = list(_pair_states(
-            sys, sys, _block(x0, sys.state_dim, self.COUNT), _block(y0, sys.state_dim, self.COUNT),
-            ux.values(grid.times()), uy.values(grid.times()), mode, grid, self.SEED, self.START))
-        return np.stack([x for x, _ in states], axis=1), np.stack([y for _, y in states], axis=1)
+        n = sys.state_dim
+        xs, ys = _collect(_blocks(
+            [sys, sys], [_block(x0, n, self.COUNT), _block(y0, n, self.COUNT)],
+            [ux.values(grid.times()), uy.values(grid.times())], grid, self.SEED, self.START,
+            common=mode is CouplingMode.COMMON), grid.steps)
+        return xs.transpose(1, 0, 2), ys.transpose(1, 0, 2)
 
     # a budget at which the COUNT-row block of a 200-step horizon spans
     # 4 or more draw blocks, the last one partial (a single path spans fewer)
@@ -318,7 +323,7 @@ class TestSharedKernel:
         self._assert_cascade_slots_bit_identical(kind)
 
     def _assert_cascade_slots_bit_identical(self, kind):
-        from contracting_sde.integrate import _block, _cascade_states
+        from contracting_sde.integrate import _block, _cascade_blocks, _collect
 
         sys = scalar_tracker(1.0, 0.2)
         theta = InputSignal.sinusoid([0.2], offset=[0.5])
@@ -327,11 +332,10 @@ class TestSharedKernel:
         else:
             noise, xi0 = JDParams(c=1.0, theta=theta, sigma_u=0.5, a=[1.0]), [0.4]
         grid = TimeGrid(0.0, 1e-2, 200)
-        states = list(_cascade_states(
+        xs, us = _collect(_cascade_blocks(
             noise, theta.values(grid.times()), sys, _block([0.3], 1, self.COUNT),
-            _block(xi0, 1, self.COUNT), grid, self.SEED, self.START))
-        xs = np.stack([x for x, _ in states], axis=1)
-        us = np.stack([u for _, u in states], axis=1)
+            np.array(xi0), grid, self.SEED, self.START), grid.steps)
+        xs, us = xs.transpose(1, 0, 2), us.transpose(1, 0, 2)
         for i in range(self.COUNT):
             tu, tx = integrate_cascade(noise, theta, sys, [0.3], xi0, grid,
                                        RngLineage(self.SEED, self.START + i))
@@ -421,3 +425,207 @@ class TestSharedKernel:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
             euler_maruyama(exploding, [1.0], ZERO, TimeGrid(0.0, 1.0, 200), RngLineage(0, 42))
         assert exc.value.path_index == 42
+
+
+def _closure_twin(sys):
+    """The same (A, B, Sigma) as ``sys``, given only through drift and dispersion closures."""
+    A, B = sys.affine
+    Sigma = sys.dispersion_matrix
+    return SystemSpec(
+        state_dim=sys.state_dim, input_dim=sys.input_dim,
+        drift=lambda x, u: x @ A.T + u @ B.T, dispersion=lambda x, u: Sigma,
+        metric=sys.metric, constants=sys.constants, noise_dim=sys.noise_dim,
+        lipschitz_budget=sys.lipschitz_budget,
+    )
+
+
+class TestAffineData:
+    """A system given as data, SystemSpec.affine = (A, B) with its dispersion
+    matrix, steps through the fused sub-block path; the closures of the same
+    system step one call at a time. Both must give the same numbers."""
+
+    SEED = 17
+    GRID = TimeGrid(0.0, 1e-2, 300)  # two full sub-blocks and a partial one
+
+    def _systems(self, dim):
+        from contracting_sde import validate_metric
+
+        if dim == 1:
+            sys = affine_system([[-1.5]], [[1.2]], [[0.4]], validate_metric([[1.3]]))
+        else:
+            metric = validate_metric([[2.0, 0.3], [0.3, 1.0]])
+            sys = affine_system([[-1.0, 0.4], [-0.3, -1.5]], [[1.0, 0.2], [0.0, 0.8]],
+                                [[0.3, 0.1], [0.05, 0.2]], metric)
+        twin = _closure_twin(sys)
+        assert sys.affine is not None and twin.affine is None
+        return sys, twin
+
+    def _assert_same(self, a, b, dim):
+        a, b = np.asarray(a), np.asarray(b)
+        if dim == 1:
+            assert np.array_equal(a, b)
+        else:
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    def _pair_outputs(self, sys, mode, dim):
+        from contracting_sde import PairScenario, pair_error_moment
+
+        ux = InputSignal.sinusoid([1.0] * dim, omega=2.0)
+        uy = InputSignal.constant([0.3] * dim)
+        x0, y0 = [0.5] * dim, [-0.2] * dim
+        sc = PairScenario(sys_x=sys, sys_y=sys, x0=x0, y0=y0, u_x=ux, u_y=uy,
+                          mode=mode, grid=self.GRID)
+        series = pair_error_moment(sc, n_paths=600, master_seed=self.SEED)
+        tx, ty = integrate_pair(sys, sys, x0, y0, ux, uy, mode, self.GRID, RngLineage(self.SEED, 7))
+        return [series.mean_sq, series.std_err, tx.states, ty.states]
+
+    def _cascade_outputs(self, sys, kind, dim, eq):
+        from contracting_sde import CascadeScenario, tracking_error_moment
+
+        theta = InputSignal.sinusoid([0.2] * dim, offset=[0.5] * dim)
+        if kind == "ou":
+            noise, xi0 = OUParams(c=1.0, sigma=0.3, dim=dim), [0.1] * dim
+        else:
+            noise, xi0 = JDParams(c=1.0, theta=theta, sigma_u=0.5, a=[1.0] * dim), [0.4] * dim
+        sc = CascadeScenario(noise=noise, theta=theta, sys=sys, x0=[0.3] * dim, xi0=xi0,
+                             grid=self.GRID)
+        out = []
+        for target in ("deterministic_curve", "stochastic_curve"):
+            series = tracking_error_moment(sc, eq, target, n_paths=600, master_seed=self.SEED)
+            out += [series.mean_sq, series.std_err]
+        tu, tx = integrate_cascade(noise, theta, sys, [0.3] * dim, xi0, self.GRID,
+                                   RngLineage(self.SEED, 7))
+        return out + [tu.states, tx.states]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("mode", list(CouplingMode))
+    def test_pair_affine_matches_closures(self, mode, dim):
+        sys, twin = self._systems(dim)
+        for a, b in zip(self._pair_outputs(sys, mode, dim), self._pair_outputs(twin, mode, dim)):
+            self._assert_same(a, b, dim)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["ou", "jd"])
+    def test_cascade_affine_matches_closures(self, kind, dim):
+        from contracting_sde import EquilibriumMap
+
+        sys, twin = self._systems(dim)
+        eq = EquilibriumMap.affine(-np.linalg.solve(*sys.affine))
+        for a, b in zip(self._cascade_outputs(sys, kind, dim, eq),
+                        self._cascade_outputs(twin, kind, dim, eq)):
+            self._assert_same(a, b, dim)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_single_path_affine_matches_closures(self, dim):
+        sys, twin = self._systems(dim)
+        u = InputSignal.sinusoid([1.0] * dim)
+        a = euler_maruyama(sys, [0.5] * dim, u, self.GRID, RngLineage(self.SEED, 3))
+        b = euler_maruyama(twin, [0.5] * dim, u, self.GRID, RngLineage(self.SEED, 3))
+        self._assert_same(a.states, b.states, dim)
+
+    def test_noiseless_ou_input_is_the_deterministic_input_run(self):
+        # sigma = 0 makes the OU input theta(t) itself: no input normals are
+        # drawn, so the state steps on the same stream as a plain run on theta
+        sys = scalar_tracker(1.0, 0.3)
+        theta = InputSignal.sinusoid([1.0])
+        _, x_traj = integrate_cascade(OUParams(c=1.0, sigma=0.0), theta, sys, [0.2], [0.0],
+                                      self.GRID, RngLineage(self.SEED, 5))
+        plain = euler_maruyama(sys, [0.2], theta, self.GRID, RngLineage(self.SEED, 5))
+        assert np.array_equal(x_traj.states, plain.states)
+
+    def test_affine_system_requires_its_dispersion_matrix(self):
+        from contracting_sde import InputError
+
+        sys = scalar_tracker(1.0, 0.3)
+        with pytest.raises(InputError, match="dispersion_matrix"):
+            SystemSpec(state_dim=1, input_dim=1, drift=sys.drift, dispersion=sys.dispersion,
+                       metric=sys.metric, constants=sys.constants, affine=sys.affine)
+
+
+def _reference_divergence(systems, x0s, rows, steps, dt, seed, start, common):
+    """(step, path) at which the one-step-at-a-time recursion
+    x + F(x, u) dt + Sigma dB first holds a non-finite state, x before y."""
+    N = x0s[0].shape[0]
+    widths = [s.noise_dim for s in systems]
+    width = widths[0] if common else sum(widths)
+    Z = np.stack([RngLineage(seed, start + i).stream().standard_normal((steps, width))
+                  for i in range(N)])
+    xs = [x0.copy() for x0 in x0s]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            c = 0
+            for i, sys in enumerate(systems):
+                r = sys.noise_dim
+                dB = Z[:, k, c:c + r] * math.sqrt(dt)
+                if not common:
+                    c += r
+                xs[i] = xs[i] + sys.drift(xs[i], rows[i][k]) * dt + dB @ sys.dispersion_matrix.T
+                bad = np.flatnonzero(~np.all(np.isfinite(xs[i]), axis=1))
+                if bad.size:
+                    return k + 1, start + int(bad[0])
+    return None
+
+
+class TestDivergence:
+    """A non-finite state raises at the step and path of the one-step-at-a-
+    time recursion, wherever it falls among sub-blocks and draw blocks, and
+    stepping past it within a sub-block emits no floating-point warning."""
+
+    START = 40
+
+    def _exploding(self):
+        # x' = x - 10 x dt = -9 x at dt = 1: |x| grows ninefold per step;
+        # the zero Lipschitz budget keeps the step-size warning quiet
+        return affine_system([[-10.0]], [[0.0]], [[0.5]], identity_metric(1), lipschitz_budget=0.0)
+
+    def _x0(self, steps_to_overflow):
+        # |x_k| ~ |x0| 9^k first exceeds the largest double near k = steps_to_overflow
+        return np.array([[1.5 * (1.7976931348623157e308 / 9.0 ** k)] for k in steps_to_overflow])
+
+    def _raise(self, systems, x0s, steps, common=False):
+        from contracting_sde.integrate import _blocks, _collect
+
+        grid = TimeGrid(0.0, 1.0, steps)
+        rows = [np.zeros((steps + 1, 1))] * len(systems)
+        expected = _reference_divergence(systems, x0s, rows, steps, 1.0, 3, self.START, common)
+        assert expected is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                _collect(_blocks(systems, x0s, rows, grid, 3, self.START, common=common), steps)
+        assert (exc.value.step, exc.value.path_index) == expected
+        return expected
+
+    @pytest.mark.parametrize("first, where", [
+        (60, "mid-sub-block"),
+        (128, "last step of the first sub-block"),
+        (129, "first step of the second sub-block"),
+    ])
+    def test_divergence_step_and_path(self, first, where):
+        sys = self._exploding()
+        # rows 0 and 2 overflow later than row 1
+        step, path = self._raise([sys], [self._x0([first + 5, first, first + 20])], 300)
+        assert (step, path) == (first, self.START + 1), where
+
+    def test_divergence_across_a_draw_block_boundary(self, monkeypatch):
+        from contracting_sde import integrate
+
+        # draw blocks of 100 steps for 3 rows of width 1
+        monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", 8 * 3 * 101)
+        spans = [b.shape[1] for b in integrate._draws(3, self.START, 3, 300, 1)]
+        assert spans == [100, 100, 100]
+        sys = self._exploding()
+        for first in (100, 101):
+            assert self._raise([sys], [self._x0([first + 3, first + 3, first])], 300) == (
+                first, self.START + 2)
+
+    @pytest.mark.parametrize("mode", list(CouplingMode))
+    def test_pair_names_x_before_y(self, mode):
+        sys = self._exploding()
+        x0, y0 = self._x0([90, 70, 90]), self._x0([70, 90, 70])
+        # both overflow at step 70: x's row 1 is named before y's row 0
+        assert self._raise([sys, sys], [x0, y0], 200, common=mode is CouplingMode.COMMON) == (
+            70, self.START + 1)
+        # y alone overflows first
+        assert self._raise([sys, sys], [x0, self._x0([90, 90, 65])], 200,
+                           common=mode is CouplingMode.COMMON) == (65, self.START + 2)

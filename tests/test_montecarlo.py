@@ -242,6 +242,43 @@ class TestVerdicts:
         assert check_envelope(self._flat_series(1.25, se=0.1), env, ("fixed", 0.5)).holds
         assert not check_envelope(self._flat_series(1.35, se=0.1), env, ("fixed", 0.5)).holds
 
+    def test_zero_variance_points_allow_rounding_only(self):
+        # std_err = 0 where every path holds the same value: the bound may
+        # sit a few ulp of its largest value below the mean, not more
+        series = self._flat_series(0.5)
+        bound = np.full(21, 0.5)
+        bound[5] = 2.0
+        ulp = np.spacing(2.0)
+        assert compare_to_bound(series, bound - 8 * ulp).holds
+        assert not compare_to_bound(series, bound - 64 * ulp).holds
+        assert "where std_err = 0" in compare_to_bound(series, bound).slack_rule
+
+    def test_nonzero_initial_error_holds_at_t0(self, tmp_path):
+        # seeded track_jd_sisc config whose verdict failed at t = 0 by
+        # -2.9e-14: mean_sq[0] is E0 to the last bit, while the envelope's
+        # floor terms cancel there only to within an ulp of its largest value
+        import json
+
+        from contracting_sde import parse_config, run_scenario
+
+        cfg = {
+            "scenario_kind": "track_jd_sisc",
+            "grid": {"t0": 0.0, "dt": 0.002, "steps": 1000},
+            "n_paths": 512, "master_seed": 403602299, "n_workers": 1, "alpha_policy": "opt",
+            "system": {"A": [[-1.9510223851255208]], "B": [[0.7114234311819209]],
+                       "Sigma": [[0.38429684700245875]], "P": [[1.1966786160812166]]},
+            "theta": {"kind": "sinusoid", "amplitude": [0.14533299530263943],
+                      "omega": 1.9383767853120677, "phase": 0.0,
+                      "offset": [0.7266649765131972]},
+            "eq_map": {"M": [[0.3646413473293648]]},
+            "noise": {"c": 1.9510223851255208, "sigma_u": 0.7683543986226071,
+                      "a": [1.4533299530263943]},
+            "u0": [0.7532849838726128], "x0": [0.2606479553679568],
+        }
+        verdict = run_scenario(parse_config(json.dumps(cfg)), tmp_path / "bundle")
+        assert verdict.holds
+        assert verdict.worst_t == 0.0 and -1e-13 < verdict.worst_margin < 0.0
+
     def test_compare_to_bound_shape_check(self):
         with pytest.raises(InputError):
             compare_to_bound(self._flat_series(1.0), np.ones(3))
