@@ -252,12 +252,11 @@ class _Stepper:
 
 
 def _product(M):
-    """x -> x @ M as (f, operand), applied as f(x, operand, out). A diagonal
-    M gives the same numbers as an elementwise product, one cheap call: by a
-    scalar when the diagonal is constant, as in one dimension."""
-    d = np.diag(M)
-    if M.shape[0] == M.shape[1] and np.array_equal(M, np.diag(d)):
-        return np.multiply, (float(d[0]) if np.all(d == d[0]) else d.copy())
+    """x -> x @ M as (f, operand), applied as f(x, operand, out). M = d I,
+    as in one dimension or for an identity P, is one product by the scalar
+    d; the matrix product only adds zero terms to the same numbers."""
+    if M.size and M.shape[0] == M.shape[1] and np.array_equal(M, M[0, 0] * np.eye(len(M))):
+        return np.multiply, float(M[0, 0])
     return np.matmul, M
 
 

@@ -7,9 +7,9 @@ single-path integrators run on a block of one: sub-blocks of
 ``_STEP_BLOCK`` steps in step-major buffers, where a system given as data
 (``SystemSpec.affine`` with its dispersion matrix) has its noise and input
 terms computed once per sub-block and its states stepped in place. The
-moments of a sub-block are reduced at once: one product with the metric's
-Cholesky factor, one einsum, and row sums over contiguous rows, which are
-the same pairwise sums as summing each step alone. Each path's Gaussian
+moments of a sub-block are reduced at once: ``Metric.batch_norm_sq`` of
+its (S, N, n) errors, then row sums over contiguous rows, which are the
+same pairwise sums as summing each step alone. Each path's Gaussian
 draws come from its own counter-based stream in the same order. In one
 dimension an ensemble path is therefore bit-identical to the single-path
 run of the same lineage and to stepping the drift and dispersion closures
@@ -35,14 +35,12 @@ from .integrate import (
     CHUNK_SIZE,  # noqa: F401 - the ensembles' chunk size, importable from here
     _STEP_BLOCK,
     CouplingMode,
-    _apply,
     _block,
     _blocks,
     _cascade_blocks,
     _check_cascade,
     _check_pair,
     _draws,
-    _product,
     _run_chunks,
 )
 from .noise import JDParams, OUParams, _ou_exact_coeffs
@@ -102,21 +100,11 @@ class CascadeScenario:
     unsafe: bool = False
 
 
-def _moment_block(E, weight, ps, pq, k):
-    """Write the sum and the sum of squares over the paths of the squared
-    norm ||e||^2 at steps k .. k+S-1 into ps and pq, for the step-major
-    (S, N, n) block E of errors e.
-
-    ``weight`` is ``_product(chol)`` of a metric, ||e||_P^2 =
-    ||e chol||_2^2, or None for the Euclidean norm; an elementwise weight
-    overwrites E. Each step's sums are row sums over contiguous rows, the
-    same pairwise sums as summing that step's (N,) vector alone.
-    """
-    if weight is not None:
-        out = E if weight[0] is np.multiply else np.empty_like(E)
-        _apply(weight, E, out)
-        E = out
-    sq = np.einsum("kbi,kbi->kb", E, E)
+def _moment_block(sq, ps, pq, k):
+    """Write the sum and the sum of squares over the paths of the step-major
+    (S, N) block sq of squared norms at steps k .. k+S-1 into ps and pq.
+    Each step's sums are row sums over contiguous rows, the same pairwise
+    sums as summing that step's (N,) vector alone; sq is overwritten."""
     ps[k:k + len(sq)] = sq.sum(axis=1)
     sq *= sq
     pq[k:k + len(sq)] = sq.sum(axis=1)
@@ -148,7 +136,7 @@ def pair_error_moment(
     sc = scenario
     _check_pair(sc.sys_x, sc.sys_y, sc.mode, sc.grid)
     grid = sc.grid
-    weight = _product(sc.sys_x.metric.chol)
+    metric = sc.sys_x.metric
     times = grid.times()
     ux_path = sc.u_x.values(times)
     uy_path = sc.u_y.values(times)
@@ -162,7 +150,7 @@ def pair_error_moment(
         for k, (x, y) in blocks:
             if debug_guard is not None and k > 0:
                 _apply_guard(x, times[k:k + len(x)], debug_guard, start, k)
-            _moment_block(x - y, weight, ps, pq, k)
+            _moment_block(metric.batch_norm_sq(x - y), ps, pq, k)
         return ps, pq
 
     return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)
@@ -213,7 +201,6 @@ def tracking_error_moment(
     sc = scenario
     grid, sys, noise = sc.grid, sc.sys, sc.noise
     _check_cascade(noise, sys, sc.xi0, grid, sc.unsafe)
-    weight = _product(sys.metric.chol)
     n = sys.state_dim
     theta_path = sc.theta.values(grid.times())
     xstar_det = _x_star_batch(eq_map, theta_path, n)  # (steps+1, n)
@@ -227,7 +214,7 @@ def tracking_error_moment(
                 e = x - xstar_det[k:k + len(x), None]
             else:
                 e = x - _x_star_batch(eq_map, u.reshape(-1, noise.dim), n).reshape(x.shape)
-            _moment_block(e, weight, ps, pq, k)
+            _moment_block(sys.metric.batch_norm_sq(e), ps, pq, k)
         return ps, pq
 
     return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)
@@ -259,7 +246,7 @@ def ou_moment(
         X = np.empty((_STEP_BLOCK + 1, count, p.dim))
         W = np.empty((_STEP_BLOCK, count, p.dim))
         X[0] = _block(x0, p.dim, count)
-        _moment_block(X[:1], None, ps, pq, 0)
+        _moment_block(np.einsum("kbi,kbi->kb", X[:1], X[:1]), ps, pq, 0)
         k0 = 0
         for Z in _draws(master_seed, start, count, grid.steps, p.dim):
             for j0 in range(0, Z.shape[1], _STEP_BLOCK):
@@ -277,7 +264,8 @@ def ou_moment(
                         nx *= grid.dt
                         np.subtract(x, nx, out=nx)
                     nx += w[j]
-                _moment_block(X[1:n + 1], None, ps, pq, k0 + 1)
+                xs = X[1:n + 1]
+                _moment_block(np.einsum("kbi,kbi->kb", xs, xs), ps, pq, k0 + 1)
                 X[0] = X[n]
                 k0 += n
         return ps, pq
