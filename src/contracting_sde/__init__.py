@@ -82,7 +82,6 @@ from .montecarlo import (
     Verdict,
     check_envelope,
     compare_to_bound,
-    moment_growth_guard,
     ou_moment,
     pair_error_moment,
     tail_average,

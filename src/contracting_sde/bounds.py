@@ -11,15 +11,19 @@ Signal convolutions at a single time use composite Simpson quadrature with
 refinement doubling (1e-8 relative change, capped); over a grid they use
 an exponential-trapezoid recursion of matching O(h^2) accuracy.
 
-Tail (t -> infinity) forms are exposed separately; they require the
-limsup of the driving signal, which for time-varying data callers supply
-as a scalar (operationally: the max over a tail window of the horizon).
+The tail (t -> infinity) form of an envelope is the limit of its term
+list: the driving signal is replaced by its limsup, which gives the signal
+convolutions their closed forms, and the constant terms are summed, since
+every exponential term decays to 0. For time-varying data callers supply
+the limsup as a scalar (operationally: the max over a tail window of the
+horizon).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -93,8 +97,10 @@ class BoundParams:
 
 
 def _check_alpha(alpha, lo: float = 0.0):
-    if not (lo < alpha < 1.0):
-        raise InputError(f"alpha must lie in ({lo}, 1), got {alpha}")
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    if alpha < lo:
+        raise InputError(f"tail form requires alpha in [{lo}, 1), got {alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +115,17 @@ def _simpson(vals: np.ndarray, h: float) -> float:
     return float(h / 3.0 * (w @ vals))
 
 
-def decay_convolution(g, rate: float, t: float) -> float:
-    """integral_0^t e^{-rate (t - tau)} g(tau) d tau by adaptive composite Simpson."""
+def _decay_simpson(values, rate: float, t: float) -> float:
+    """integral_0^t e^{-rate (t - tau)} v(tau) d tau by composite Simpson,
+    doubling the intervals until the relative change is below _QUAD_TOL
+    (at most _QUAD_DOUBLINGS times); ``values(taus, h)`` gives v on the
+    nodes taus of spacing h."""
     if t <= 0.0:
         return 0.0
-    gf = _as_fn(g)
 
     def eval_with(n):
         taus = np.linspace(0.0, t, n + 1)
-        vals = np.exp(-rate * (t - taus)) * gf(taus)
+        vals = np.exp(-rate * (t - taus)) * values(taus, t / n)
         return _simpson(vals, t / n)
 
     n = _QUAD_N0
@@ -126,34 +134,22 @@ def decay_convolution(g, rate: float, t: float) -> float:
         n *= 2
         new = eval_with(n)
         if abs(new - val) <= _QUAD_TOL * max(1.0, abs(new)):
-            val = new
-            break
+            return new
         val = new
     return val
+
+
+def decay_convolution(g, rate: float, t: float) -> float:
+    """integral_0^t e^{-rate (t - tau)} g(tau) d tau by adaptive composite Simpson."""
+    gf = _as_fn(g)
+    return _decay_simpson(lambda taus, h: gf(taus), rate, t)
 
 
 def double_decay_convolution(g, outer_rate: float, inner_rate: float, t: float) -> float:
     """integral_0^t e^{-outer (t-tau)} integral_0^tau e^{-inner (tau-r)} g(r) dr dtau."""
-    if t <= 0.0:
-        return 0.0
     gf = _as_fn(g)
-
-    def eval_with(n):
-        taus = np.linspace(0.0, t, n + 1)
-        inner = _conv_grid_values(gf(taus), inner_rate, t / n)
-        vals = np.exp(-outer_rate * (t - taus)) * inner
-        return _simpson(vals, t / n)
-
-    n = _QUAD_N0
-    val = eval_with(n)
-    for _ in range(_QUAD_DOUBLINGS):
-        n *= 2
-        new = eval_with(n)
-        if abs(new - val) <= _QUAD_TOL * max(1.0, abs(new)):
-            val = new
-            break
-        val = new
-    return val
+    return _decay_simpson(lambda taus, h: _conv_grid_values(gf(taus), inner_rate, h),
+                          outer_rate, t)
 
 
 def _conv_grid_values(gv: np.ndarray, rate: float, h: float) -> np.ndarray:
@@ -309,6 +305,10 @@ _TERM_BUILDERS = {
     "track_jd_sisc": _terms_track_jd_sisc,
 }
 
+# the tail of the JD stochastic-curve envelope holds only for alpha >= 1/2;
+# every finite-time form holds on all of (0, 1)
+_TAIL_ALPHA_MIN = {"track_jd_sisc": 0.5}
+
 
 def _eval_terms(terms, t: float) -> float:
     total = 0.0
@@ -359,6 +359,28 @@ def _envelope_value(kind: str, p: BoundParams, t: float, alpha: float) -> float:
     return _eval_terms(_TERM_BUILDERS[kind](p, alpha), t)
 
 
+def _datum(kind: str) -> str:
+    """The BoundParams field whose signal drives the kind's convolution terms."""
+    return "theta_dot_sq" if kind.startswith("track") else "input_gap_sq"
+
+
+def _at_tail(kind: str, p: BoundParams) -> BoundParams:
+    """p with the kind's driving signal replaced by its tail value, which
+    gives the signal convolutions of the term list their closed forms."""
+    datum = _datum(kind)
+    tail = getattr(p, datum + "_tail")()
+    return p if getattr(p, datum) == tail else replace(p, **{datum: tail})
+
+
+def _tail_value(kind: str, p: BoundParams, alpha: float) -> float:
+    """The t -> infinity limit of the kind's term list: at the tail of the
+    driving signal every exp and expconv term decays to 0, leaving the sum
+    of the const terms."""
+    _check_alpha(alpha, _TAIL_ALPHA_MIN.get(kind, 0.0))
+    terms = _TERM_BUILDERS[kind](_at_tail(kind, p), alpha)
+    return sum(term[1] for term in terms if term[0] == "const")
+
+
 # ---------------------------------------------------------------------------
 # Named envelopes (finite-time and tail forms)
 
@@ -369,12 +391,7 @@ def niss_two_traj(p: BoundParams, t: float, alpha: float) -> float:
 
 
 def niss_two_traj_tail(p: BoundParams, alpha: float) -> float:
-    _check_alpha(alpha)
-    c = p.c
-    return (
-        p.sigma_x_sq / (c * alpha)
-        + p.ell**2 / (4 * c**2 * alpha * (1 - alpha)) * p.input_gap_sq_tail()
-    )
+    return _tail_value("niss_two_traj", p, alpha)
 
 
 def niss_vs_ode(p: BoundParams, t: float, alpha: float) -> float:
@@ -383,12 +400,7 @@ def niss_vs_ode(p: BoundParams, t: float, alpha: float) -> float:
 
 
 def niss_vs_ode_tail(p: BoundParams, alpha: float) -> float:
-    _check_alpha(alpha)
-    c = p.c
-    return (
-        p.sigma_x_sq / (2 * c * alpha)
-        + p.ell**2 / (4 * c**2 * alpha * (1 - alpha)) * p.input_gap_sq_tail()
-    )
+    return _tail_value("niss_vs_ode", p, alpha)
 
 
 def track_didc(p: BoundParams, t: float, alpha: float) -> float:
@@ -397,12 +409,7 @@ def track_didc(p: BoundParams, t: float, alpha: float) -> float:
 
 
 def track_didc_tail(p: BoundParams, alpha: float) -> float:
-    _check_alpha(alpha)
-    c = p.c
-    return (
-        p.sigma_x_sq / (2 * c * alpha)
-        + p.ell**2 / (4 * c**4 * alpha * (1 - alpha)) * p.theta_dot_sq_tail()
-    )
+    return _tail_value("track_didc", p, alpha)
 
 
 def track_ou_sidc(p: BoundParams, t: float, alpha: float) -> float:
@@ -415,13 +422,7 @@ def track_ou_sidc(p: BoundParams, t: float, alpha: float) -> float:
 
 
 def track_ou_sidc_tail(p: BoundParams, alpha: float) -> float:
-    _check_alpha(alpha)
-    c = p.c
-    return (
-        p.sigma_x_sq / (c * alpha)
-        + p.ell**2 / (c**4 * alpha * (1 - alpha)) * p.theta_dot_sq_tail()
-        + p.ell**2 / c**2 * p.sigma_xi_sq / (c * alpha)
-    )
+    return _tail_value("track_ou_sidc", p, alpha)
 
 
 def track_ou_sisc(p: BoundParams, t: float, alpha: float) -> float:
@@ -430,17 +431,7 @@ def track_ou_sisc(p: BoundParams, t: float, alpha: float) -> float:
 
 
 def track_ou_sisc_tail(p: BoundParams, alpha: float) -> float:
-    _check_alpha(alpha)
-    c = p.c
-    return (
-        p.sigma_x_sq / (2 * c * alpha)
-        + p.ell**2 / (c**4 * alpha * (1 - alpha)) * p.theta_dot_sq_tail()
-        + (1.0 / (alpha * (1 - alpha)))
-        * (
-            (2 - alpha) * p.ell**2 / c**2 * p.sigma_xi_sq / (2 * c)
-            + p.h_ou**2 / 2 * p.sigma_xi_sq**2 / (4 * c**2)
-        )
-    )
+    return _tail_value("track_ou_sisc", p, alpha)
 
 
 def track_jd_sidc(p: BoundParams, t: float, alpha: float) -> float:
@@ -449,13 +440,7 @@ def track_jd_sidc(p: BoundParams, t: float, alpha: float) -> float:
 
 
 def track_jd_sidc_tail(p: BoundParams, alpha: float) -> float:
-    _check_alpha(alpha)
-    c = p.c
-    return (
-        p.sigma_x_sq / (c * alpha)
-        + p.ell**2 / (c**4 * alpha * (1 - alpha)) * p.theta_dot_sq_tail()
-        + p.ell**2 / c**2 * (p.a_norm_sq / 4) * p.sigma_u_sq / (c * alpha)
-    )
+    return _tail_value("track_jd_sidc", p, alpha)
 
 
 def track_jd_sisc(p: BoundParams, t: float, alpha: float) -> float:
@@ -465,18 +450,7 @@ def track_jd_sisc(p: BoundParams, t: float, alpha: float) -> float:
 
 def track_jd_sisc_tail(p: BoundParams, alpha: float) -> float:
     """Tail form of the JD stochastic-curve envelope; valid only for alpha >= 1/2."""
-    if not (0.5 <= alpha < 1.0):
-        raise InputError(f"tail form requires alpha in [1/2, 1), got {alpha}")
-    c = p.c
-    return (
-        p.sigma_x_sq / (2 * c * alpha)
-        + p.ell**2 / (2 * c**4 * alpha * (1 - alpha)) * p.theta_dot_sq_tail()
-        + (1.0 / (alpha * (1 - alpha)))
-        * (
-            (4 - 3 * alpha) * p.ell**2 / c**2 * (p.a_norm_sq / 4) * p.sigma_u_sq / (2 * c)
-            + p.h_jd**2 / 2 * p.sigma_u_sq**2 / (4 * c**2)
-        )
-    )
+    return _tail_value("track_jd_sisc", p, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -489,60 +463,31 @@ class Envelope:
 
     ``eval(t, alpha)`` is the finite-time formula; ``limsup(alpha)`` is the
     tail form (None when the tail value of the driving data is unknown);
-    ``valid_alpha`` is the open interval of admissible splits;
     ``eval_grid(times, alpha)`` evaluates the bound over a uniform grid
     starting at 0 in a single O(N) pass.
     """
 
     eval: Callable[[float, float], float]
     limsup: Optional[Callable[[float], float]] = None
-    valid_alpha: tuple = (0.0, 1.0)
     kind: str = ""
     eval_grid: Optional[Callable] = None
-
-
-_TAIL_FORMS = {
-    "niss_two_traj": (niss_two_traj_tail, (0.0, 1.0)),
-    "niss_vs_ode": (niss_vs_ode_tail, (0.0, 1.0)),
-    "track_didc": (track_didc_tail, (0.0, 1.0)),
-    "track_ou_sidc": (track_ou_sidc_tail, (0.0, 1.0)),
-    "track_ou_sisc": (track_ou_sisc_tail, (0.0, 1.0)),
-    "track_jd_sidc": (track_jd_sidc_tail, (0.0, 1.0)),
-    "track_jd_sisc": (track_jd_sisc_tail, (0.5, 1.0)),
-}
 
 
 def make_envelope(kind: str, params: BoundParams) -> Envelope:
     """Bind one of the named envelopes to a parameter set."""
     if kind not in _TERM_BUILDERS:
         raise InputError(f"unknown envelope kind '{kind}'")
-    tail, _tail_interval = _TAIL_FORMS[kind]
-
-    def _eval(t, alpha):
-        return _envelope_value(kind, params, t, alpha)
+    datum = _datum(kind)
+    has_tail = (getattr(params, datum + "_limsup") is not None
+                or not callable(getattr(params, datum)))
 
     def _eval_grid(times, alpha):
         _check_alpha(alpha)
         return _eval_terms_grid(_TERM_BUILDERS[kind](params, alpha), times)
 
-    tail_fn = None
-    try:
-        params.theta_dot_sq_tail() if kind.startswith("track") else params.input_gap_sq_tail()
-        have_tail = True
-    except InputError:
-        have_tail = False
-    if have_tail:
-        def tail_fn(alpha):  # noqa: F811
-            return tail(params, alpha)
-
-    # the finite-t formulas are valid on all of (0, 1); only the JD
-    # stochastic-curve tail carries the alpha >= 1/2 guard
-    return Envelope(eval=_eval, limsup=tail_fn, valid_alpha=(0.0, 1.0),
+    limsup = partial(_tail_value, kind, _at_tail(kind, params)) if has_tail else None
+    return Envelope(eval=partial(_envelope_value, kind, params), limsup=limsup,
                     kind=kind, eval_grid=_eval_grid)
-
-
-def _tail_alpha_interval(kind: str):
-    return _TAIL_FORMS[kind][1] if kind in _TAIL_FORMS else (0.0, 1.0)
 
 
 def optimize_alpha(env: Envelope, t_or_limsup="limsup"):
@@ -555,14 +500,13 @@ def optimize_alpha(env: Envelope, t_or_limsup="limsup"):
     if t_or_limsup == "limsup":
         if env.limsup is None:
             raise InputError("envelope has no tail form to optimize")
-        lo, hi = _tail_alpha_interval(env.kind)
+        lo = max(_TAIL_ALPHA_MIN.get(env.kind, 0.0), ALPHA_EPS)
         f = env.limsup
     else:
         t = float(t_or_limsup)
-        lo, hi = 0.0, 1.0
+        lo = ALPHA_EPS
         f = lambda a: env.eval(t, a)
-    lo = max(lo, ALPHA_EPS) if lo > 0.0 else ALPHA_EPS
-    hi = hi - ALPHA_EPS
+    hi = 1.0 - ALPHA_EPS
 
     grid = np.linspace(lo, hi, 201)
     vals = np.array([f(a) for a in grid])

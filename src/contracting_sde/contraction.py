@@ -49,7 +49,8 @@ def oslip_affine(A: np.ndarray, metric: Metric) -> float:
     return float(vals[-1])
 
 
-def _uniform_box_sampler(lo, hi):
+def box_sampler(lo, hi):
+    """Uniform sampler over an axis-aligned box, usable as x_sampler/u_sampler."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
 
@@ -59,16 +60,23 @@ def _uniform_box_sampler(lo, hi):
     return sample
 
 
-def box_sampler(lo, hi):
-    """Uniform sampler over an axis-aligned box, usable as x_sampler/u_sampler."""
-    return _uniform_box_sampler(lo, hi)
+def _drift_batch(F, xs, us) -> np.ndarray:
+    out = np.asarray(F(xs, us), dtype=float)
+    if out.shape != xs.shape:
+        raise InputError(
+            f"drift returned shape {out.shape} for a batch of {xs.shape[0]} "
+            f"states; expected {xs.shape}: F must broadcast over a leading "
+            "batch axis"
+        )
+    return out
 
 
 def oslip_sampled(F, u_box, x_sampler, metric: Metric, n_pairs: int, seed: int = 0) -> float:
     """Sampled max of (F(y,u)-F(x,u))^T P (y-x) / ||y-x||_P^2.
 
     A lower estimate of the true one-sided Lipschitz constant. Pairs closer
-    than the distance floor are skipped.
+    than the distance floor are skipped. F must broadcast over a leading
+    batch axis: (N, n) states and (N, m) inputs give (N, n) drifts.
     """
     if n_pairs < 1:
         raise InputError("n_pairs must be >= 1")
@@ -76,7 +84,7 @@ def oslip_sampled(F, u_box, x_sampler, metric: Metric, n_pairs: int, seed: int =
     xs = x_sampler(rng, n_pairs)
     ys = x_sampler(rng, n_pairs)
     if u_box is not None:
-        us = _uniform_box_sampler(*u_box)(rng, n_pairs)
+        us = box_sampler(*u_box)(rng, n_pairs)
     else:
         us = np.zeros((n_pairs, 1))
     d = ys - xs
@@ -84,15 +92,7 @@ def oslip_sampled(F, u_box, x_sampler, metric: Metric, n_pairs: int, seed: int =
     if not np.any(keep):
         raise EstimationError("all sampled pairs degenerate")
     xs, ys, us, d = xs[keep], ys[keep], us[keep], d[keep]
-    try:
-        dF = np.asarray(F(ys, us), dtype=float) - np.asarray(F(xs, us), dtype=float)
-        if dF.shape != d.shape:
-            raise ValueError
-    except Exception:
-        dF = np.stack([
-            np.atleast_1d(F(ys[i], us[i])) - np.atleast_1d(F(xs[i], us[i]))
-            for i in range(xs.shape[0])
-        ])
+    dF = _drift_batch(F, ys, us) - _drift_batch(F, xs, us)
     num = np.einsum("ij,jk,ik->i", dF, metric.P, d)
     den = metric.batch_norm_sq(d)
     return float((num / den).max())
@@ -111,7 +111,8 @@ def input_lipschitz(
 
     For an affine input matrix B (pass the ndarray directly) with the l2 or
     l1 input norm the induced norm is exact; otherwise the maximum sampled
-    ratio ||F(x,v)-F(x,u)||_P / ||v-u|| is returned (a lower estimate).
+    ratio ||F(x,v)-F(x,u)||_P / ||v-u|| is returned (a lower estimate);
+    a callable F must broadcast as in ``oslip_sampled``.
     """
     if isinstance(F, np.ndarray) or (not callable(F)):
         B = np.atleast_2d(np.asarray(F, dtype=float))
@@ -125,7 +126,7 @@ def input_lipschitz(
     if u_box is None or x_sampler is None:
         raise InputError("sampled estimator needs u_box and x_sampler")
     rng = np.random.default_rng(seed)
-    usampler = _uniform_box_sampler(*u_box)
+    usampler = box_sampler(*u_box)
     xs = x_sampler(rng, n_pairs)
     us = usampler(rng, n_pairs)
     vs = usampler(rng, n_pairs)
@@ -134,15 +135,7 @@ def input_lipschitz(
     if not np.any(keep):
         raise EstimationError("all sampled input pairs degenerate")
     xs, us, vs, du = xs[keep], us[keep], vs[keep], du[keep]
-    try:
-        dF = np.asarray(F(xs, vs), dtype=float) - np.asarray(F(xs, us), dtype=float)
-        if dF.shape[0] != xs.shape[0]:
-            raise ValueError
-    except Exception:
-        dF = np.stack([
-            np.atleast_1d(F(xs[i], vs[i])) - np.atleast_1d(F(xs[i], us[i]))
-            for i in range(xs.shape[0])
-        ])
+    dF = _drift_batch(F, xs, vs) - _drift_batch(F, xs, us)
     num = np.sqrt(metric.batch_norm_sq(dF))
     den = _vector_norms(du, norm_u)
     return float((num / den).max())
@@ -175,7 +168,7 @@ def dispersion_bound(
     rng = np.random.default_rng(seed)
     xs = x_sampler(rng, n_samples)
     if u_box is not None:
-        us = _uniform_box_sampler(*u_box)(rng, n_samples)
+        us = box_sampler(*u_box)(rng, n_samples)
     else:
         us = np.zeros((n_samples, 1))
     best = 0.0

@@ -275,7 +275,7 @@ def affine_system(A, B, Sigma, metric: Metric, lipschitz_budget=None) -> SystemS
     generalized eigenvalue problem on (PA + A^T P)/2, ell as the induced
     norm of chol^T B, sigma_x_sq as trace(Sigma^T P Sigma).
     """
-    from .contraction import dispersion_bound, input_lipschitz, oslip_affine
+    from .contraction import certify_affine
 
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -292,16 +292,12 @@ def affine_system(A, B, Sigma, metric: Metric, lipschitz_budget=None) -> SystemS
     m = B.shape[1]
     r = Sigma.shape[1]
 
-    b = oslip_affine(A, metric)
-    if b >= 0.0:
+    cert = certify_affine(A, B, Sigma, metric)
+    if cert.c_hat <= 0.0:
         raise CertificationError(
-            f"affine drift is not contracting in the given metric (osLip={b:.6e})"
+            f"affine drift is not contracting in the given metric (osLip={-cert.c_hat:.6e})"
         )
-    constants = {
-        "c": -b,
-        "ell": input_lipschitz(B, metric),
-        "sigma_x_sq": dispersion_bound(Sigma, metric),
-    }
+    constants = {"c": cert.c_hat, "ell": cert.ell_hat, "sigma_x_sq": cert.sigma_x_sq_hat}
 
     def drift(x, u):
         return x @ A.T + u @ B.T

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .bounds import Envelope, optimize_alpha
 from .core import EquilibriumMap, InputSignal, SystemSpec, TimeGrid
-from .errors import DivergenceError, InputError
+from .errors import InputError
 from .integrate import (
     CHUNK_SIZE,  # noqa: F401 - the ensembles' chunk size, importable from here
     _STEP_BLOCK,
@@ -128,7 +128,6 @@ def pair_error_moment(
     n_paths: int,
     master_seed: int,
     n_workers: int = 1,
-    debug_guard: Optional[Callable[[float], float]] = None,
 ) -> MomentSeries:
     """Per-time mean and standard error of ||x_t - y_t||_P^2 over the ensemble."""
     if n_paths < 100:
@@ -148,26 +147,10 @@ def pair_error_moment(
             [_block(sc.x0, sc.sys_x.state_dim, count), _block(sc.y0, sc.sys_y.state_dim, count)],
             [ux_path, uy_path], grid, master_seed, start, common=sc.mode is CouplingMode.COMMON)
         for k, (x, y) in blocks:
-            if debug_guard is not None and k > 0:
-                _apply_guard(x, times[k:k + len(x)], debug_guard, start, k)
             _moment_block(metric.batch_norm_sq(x - y), ps, pq, k)
         return ps, pq
 
     return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)
-
-
-def _apply_guard(x, ts, guard, chunk_start, k):
-    """Raise at the first step, then path, of the (S, N, n) block x at steps
-    k, k+1, ... whose squared norm exceeds guard(t)."""
-    sq = np.einsum("kbi,kbi->kb", x, x)
-    bad = sq > np.array([guard(t) for t in ts])[:, None]
-    if np.any(bad):
-        j, i = divmod(int(np.flatnonzero(bad)[0]), x.shape[1])
-        idx, step = chunk_start + i, k + j
-        raise DivergenceError(
-            f"path {idx} escaped the moment guard at step {step}",
-            step=step, path_index=idx,
-        )
 
 
 def _x_star_batch(eq_map: EquilibriumMap, U: np.ndarray, n: int) -> np.ndarray:
@@ -356,11 +339,3 @@ def tail_standard_error(series: MomentSeries, fraction: float) -> float:
         raise InputError("tail window must contain at least 10 steps")
     return float(series.std_err[start:].max())
 
-
-def moment_growth_guard(L: float, x0) -> Callable[[float], float]:
-    """Coarse a-priori second-moment envelope (1 + ||x0||^2) e^{(1+L) t} used
-    as a hard per-path guard in debug runs."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    base = 1.0 + float(x0 @ x0)
-    # per-path guard: allow a generous multiple of the mean bound
-    return lambda t: 400.0 * base * math.exp((1.0 + L) * t)

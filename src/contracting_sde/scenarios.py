@@ -26,6 +26,7 @@ from .contraction import certify_affine
 from .core import (
     EquilibriumMap,
     InputSignal,
+    SystemSpec,
     TimeGrid,
     affine_system,
     scalar_tracker,
@@ -38,8 +39,8 @@ from .montecarlo import (
     MomentSeries,
     PairScenario,
     Verdict,
-    check_envelope,
     _resolve_alpha,
+    compare_to_bound,
     pair_error_moment,
     tracking_error_moment,
 )
@@ -169,20 +170,11 @@ def _validate_noise_fields(kind: str, data: dict):
             )
 
 
-def _system_c(data: dict) -> float:
-    sysd = data.get("system")
-    if sysd is None:
-        return 1.0
-    if "name" in sysd:
-        return float(sysd.get("c", 1.0))
-    A = np.asarray(sysd["A"], dtype=float)
-    P = np.asarray(sysd.get("P", np.eye(A.shape[0])), dtype=float)
-    from .contraction import oslip_affine
-    return -oslip_affine(A, validate_metric(P))
-
-
 def _fill_defaults(kind: str, data: dict):
-    c = _system_c(data) if kind != "gibbs" else float(data["potential"].get("c", 1.0))
+    if kind == "gibbs":
+        c = float(data["potential"].get("c", 1.0))
+    else:
+        c = _build_system(data["system"]).constants["c"]
     grid = dict(data.get("grid", {}))
     grid.setdefault("t0", 0.0)
     grid.setdefault("dt", default_dt(c))
@@ -226,16 +218,25 @@ def _build_signal(spec: dict) -> InputSignal:
     raise ConfigError(f"unknown input signal kind '{kind}'")
 
 
-def _build_system(spec: dict):
-    if "name" in spec:
-        if spec["name"] != "scalar_tracker":
-            raise ConfigError(f"unknown system name '{spec['name']}'")
-        return scalar_tracker(float(spec["c"]), float(spec["sigma"]))
-    A = np.asarray(spec["A"], dtype=float)
-    B = np.asarray(spec["B"], dtype=float)
-    Sigma = np.asarray(spec["Sigma"], dtype=float)
-    P = np.asarray(spec.get("P", np.eye(A.shape[0])), dtype=float)
-    return affine_system(A, B, Sigma, validate_metric(P))
+def _build_system(spec) -> SystemSpec:
+    """The config's certified system; a missing or malformed field raises
+    ConfigError, a drift that does not contract CertificationError."""
+    if not isinstance(spec, dict):
+        raise ConfigError("'system' must be an object")
+    if "name" in spec and spec["name"] != "scalar_tracker":
+        raise ConfigError(f"unknown system name '{spec['name']}'")
+    try:
+        if "name" in spec:
+            return scalar_tracker(float(spec["c"]), float(spec["sigma"]))
+        A = np.asarray(spec["A"], dtype=float)
+        B = np.asarray(spec["B"], dtype=float)
+        Sigma = np.asarray(spec["Sigma"], dtype=float)
+        P = np.asarray(spec.get("P", np.eye(A.shape[0])), dtype=float)
+        return affine_system(A, B, Sigma, validate_metric(P))
+    except KeyError as exc:
+        raise ConfigError(f"missing system field {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"invalid system: {exc}") from exc
 
 
 def _build_grid(spec: dict) -> TimeGrid:
@@ -388,22 +389,35 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path, dry_run: bool = False) -> V
 
 
 def _run_scenario_inner(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Verdict:
-    if cfg.kind == "gibbs":
-        return _run_gibbs(cfg, out_dir, dry_run)
-    if cfg.kind == "wasserstein":
-        return _run_wasserstein(cfg, out_dir, dry_run)
     d = cfg.data
     grid = _build_grid(d["grid"])
-    sys = _build_system(d["system"])
-    cert = certify_affine(*sys.affine, sys.dispersion_matrix, sys.metric)
-    (out_dir / "certificate.json").write_text(cert.to_json() + "\n", encoding="utf-8")
+    if cfg.kind == "gibbs":
+        potential = _gibbs_potential(d["potential"])
+        sigma = float(d["sigma"])
+        certificate = json.dumps(
+            {"potential": d["potential"], "sigma": sigma,
+             "stationary_variance_quadratic": sigma**2 / (2.0 * potential[2])},
+            indent=2, sort_keys=True)
+    else:
+        sys = _build_system(d["system"])
+        cert = certify_affine(*sys.affine, sys.dispersion_matrix, sys.metric)
+        certificate = cert.to_json()
+    (out_dir / "certificate.json").write_text(certificate + "\n", encoding="utf-8")
     if dry_run:
         (out_dir / "verdict.json").write_text(json.dumps(
             {"dry_run": True, "scenario_kind": cfg.kind}, indent=2) + "\n",
             encoding="utf-8")
         return Verdict(holds=True, worst_margin=math.inf, worst_t=grid.t0,
                        slack_rule="dry run: no simulation")
+    if cfg.kind == "gibbs":
+        return _run_gibbs(cfg, out_dir, grid, potential)
+    if cfg.kind == "wasserstein":
+        return _run_wasserstein(cfg, out_dir, grid, sys)
+    return _run_moments(cfg, out_dir, grid, sys, cert)
 
+
+def _run_moments(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, sys, cert) -> Verdict:
+    d = cfg.data
     params = _bound_params(cfg, cert, grid, sys.metric)
     env = bnd.make_envelope(_ENVELOPE_KIND[cfg.kind], params)
     series = _simulate_moments(cfg, grid, sys)
@@ -413,12 +427,11 @@ def _run_scenario_inner(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Ve
     elapsed = times - grid.t0
     bound_fixed = env.eval_grid(elapsed, a_fixed)
     bound_opt = env.eval_grid(elapsed, a_opt)
-    policy = "optimized" if d["alpha_policy"] == "opt" else ("fixed", float(d["alpha_policy"]))
-    verdict = check_envelope(
-        MomentSeries(grid=TimeGrid(0.0, grid.dt, grid.steps), mean_sq=series.mean_sq,
-                     std_err=series.std_err, n_paths=series.n_paths),
-        env, policy,
-    )
+    # the verdict is judged on the bound written for the policy's alpha
+    a_policy = a_opt if d["alpha_policy"] == "opt" else float(d["alpha_policy"])
+    written = {a_fixed: bound_fixed, a_opt: bound_opt}
+    bound = written[a_policy] if a_policy in written else env.eval_grid(elapsed, a_policy)
+    verdict = compare_to_bound(series, bound)
 
     header = ["t", "mean_sq", "std_err", "bound_fixed_alpha", "bound_opt_alpha"]
     rows = zip(times, series.mean_sq, series.std_err, bound_fixed, bound_opt)
@@ -432,18 +445,8 @@ def _run_scenario_inner(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Ve
     return verdict
 
 
-def _run_wasserstein(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Verdict:
+def _run_wasserstein(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, sys) -> Verdict:
     d = cfg.data
-    grid = _build_grid(d["grid"])
-    sys = _build_system(d["system"])
-    cert = certify_affine(*sys.affine, sys.dispersion_matrix, sys.metric)
-    (out_dir / "certificate.json").write_text(cert.to_json() + "\n", encoding="utf-8")
-    if dry_run:
-        (out_dir / "verdict.json").write_text(json.dumps(
-            {"dry_run": True, "scenario_kind": cfg.kind}, indent=2) + "\n",
-            encoding="utf-8")
-        return Verdict(holds=True, worst_margin=math.inf, worst_t=grid.t0,
-                       slack_rule="dry run: no simulation")
     cloud = d["cloud"]
     k = int(cloud["k"])
     n = sys.state_dim
@@ -478,21 +481,10 @@ def _gibbs_potential(spec: dict):
     raise ConfigError(f"unknown potential kind '{kind}'")
 
 
-def _run_gibbs(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Verdict:
+def _run_gibbs(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, potential) -> Verdict:
     d = cfg.data
-    grid = _build_grid(d["grid"])
-    f, grad_f, cpot = _gibbs_potential(d["potential"])
+    f, grad_f, cpot = potential
     sigma = float(d["sigma"])
-    (out_dir / "certificate.json").write_text(json.dumps(
-        {"potential": d["potential"], "sigma": sigma,
-         "stationary_variance_quadratic": sigma**2 / (2.0 * cpot)},
-        indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    if dry_run:
-        (out_dir / "verdict.json").write_text(json.dumps(
-            {"dry_run": True, "scenario_kind": cfg.kind}, indent=2) + "\n",
-            encoding="utf-8")
-        return Verdict(holds=True, worst_margin=math.inf, worst_t=grid.t0,
-                       slack_rule="dry run: no simulation")
     rng = RngLineage(int(d["master_seed"]), 0).stream()
     x = 0.0
     sq_dt = math.sqrt(grid.dt)

@@ -172,6 +172,58 @@ class TestTailFormulas:
             assert track_jd_sidc_tail(p_jd, alpha) == pytest.approx(
                 track_ou_sidc_tail(p_ou, alpha), rel=1e-12)
 
+    def test_track_ou_sisc_tail_formula(self):
+        p = _rich_params()
+        c = p.c
+        for alpha in (0.2, 0.5, 0.8):
+            expect = (
+                p.sigma_x_sq / (2 * c * alpha)
+                + p.ell**2 / (c**4 * alpha * (1 - alpha)) * p.theta_dot_sq
+                + (1.0 / (alpha * (1 - alpha))) * (
+                    (2 - alpha) * p.ell**2 / c**2 * p.sigma_xi_sq / (2 * c)
+                    + p.h_ou**2 / 2 * p.sigma_xi_sq**2 / (4 * c**2))
+            )
+            assert track_ou_sisc_tail(p, alpha) == pytest.approx(expect, rel=1e-12)
+
+    def test_track_jd_sisc_tail_formula(self):
+        p = _rich_params()
+        c = p.c
+        for alpha in (0.5, 0.65, 0.9):
+            expect = (
+                p.sigma_x_sq / (2 * c * alpha)
+                + p.ell**2 / (2 * c**4 * alpha * (1 - alpha)) * p.theta_dot_sq
+                + (1.0 / (alpha * (1 - alpha))) * (
+                    (4 - 3 * alpha) * p.ell**2 / c**2 * (p.a_norm_sq / 4)
+                    * p.sigma_u_sq / (2 * c)
+                    + p.h_jd**2 / 2 * p.sigma_u_sq**2 / (4 * c**2))
+            )
+            assert track_jd_sisc_tail(p, alpha) == pytest.approx(expect, rel=1e-12)
+
+    def test_callable_datum_tail_uses_its_limsup(self):
+        # the tail of a callable datum is the tail of the constant datum
+        # equal to its supplied limsup, for every kind
+        q_theta, q_gap = 0.45, 1.3
+        p_callable = _rich_params(
+            theta_dot_sq=lambda ts: np.sin(np.asarray(ts, float)) ** 2,
+            input_gap_sq=lambda ts: np.cos(np.asarray(ts, float)) ** 2,
+            theta_dot_sq_limsup=q_theta, input_gap_sq_limsup=q_gap,
+        )
+        p_const = _rich_params(theta_dot_sq=q_theta, input_gap_sq=q_gap)
+        for kind in ALL_KINDS:
+            env = make_envelope(kind, p_callable)
+            for alpha in (0.55, 0.8):
+                assert env.limsup(alpha) == pytest.approx(
+                    make_envelope(kind, p_const).limsup(alpha), rel=1e-15), kind
+
+    def test_jd_sisc_optimized_alpha_respects_tail_guard(self):
+        # the tail raises below alpha = 1/2, so the scan must start there; a
+        # dominant theta_dot term puts the minimum at the guard itself
+        for theta_dot_sq in (0.0, 0.7, 50.0, 5e3):
+            p = _rich_params(theta_dot_sq=theta_dot_sq, sigma_x_sq=1e-3)
+            a_star, v_star = optimize_alpha(make_envelope("track_jd_sisc", p))
+            assert a_star >= 0.5
+            assert v_star == track_jd_sisc_tail(p, a_star)
+
     def test_limsup_matches_long_horizon_eval_constant_data(self):
         # for constant driving data the finite-time formula converges to the
         # tail form; at t = 100 / (c alpha) the gap is below double precision

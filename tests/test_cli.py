@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from contracting_sde import ConfigError, parse_config, run_scenario
+from contracting_sde import CertificationError, ConfigError, parse_config, run_scenario
 from contracting_sde.cli import EXIT_ERROR, EXIT_FAILS, EXIT_HOLDS, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -89,6 +89,25 @@ class TestParseConfig:
         }
         with pytest.raises(ConfigError, match="missing noise field 'a'"):
             parse_config(json.dumps(bad))
+
+    @pytest.mark.parametrize("system, error", [
+        ({"name": "scalar_tracker", "sigma": 0.3}, ConfigError),
+        ({"name": "scalar_tracker", "c": 1.0}, ConfigError),
+        ({"name": "no_such_system", "c": 1.0, "sigma": 0.3}, ConfigError),
+        ({"name": "scalar_tracker", "c": "fast", "sigma": 0.3}, ConfigError),
+        ({"B": [[1.0]], "Sigma": [[0.3]]}, ConfigError),
+        ({"A": [[-1.0]], "Sigma": [[0.3]]}, ConfigError),
+        ({"A": [[-1.0, 0.0]], "B": [[1.0]], "Sigma": [[0.3]]}, ConfigError),
+        ({"A": -1.0, "B": [[1.0]], "Sigma": [[0.3]]}, ConfigError),
+        ({"A": [["x"]], "B": [[1.0]], "Sigma": [[0.3]]}, ConfigError),
+        ([[-1.0]], ConfigError),
+        ({"name": "scalar_tracker", "c": -1.0, "sigma": 0.3}, CertificationError),
+        ({"A": [[0.5]], "B": [[1.0]], "Sigma": [[0.3]]}, CertificationError),
+        ({"A": [[-1.0]], "B": [[1.0]], "Sigma": [[0.3]], "P": [[-1.0]]}, CertificationError),
+    ])
+    def test_bad_system_fails_at_parse_time(self, system, error):
+        with pytest.raises(error):
+            parse_config(json.dumps(_minimal_niss_pair(system=system)))
 
     def test_serialize_round_trip_is_stable(self):
         cfg = parse_config(json.dumps(_minimal_niss_pair()))
@@ -237,3 +256,36 @@ class TestRunScenarioApi:
         verdict = run_scenario(cfg, tmp_path / "bundle")
         assert verdict.holds
         assert (tmp_path / "bundle" / "plotdata.csv").is_file()
+
+    @pytest.mark.parametrize("policy", ["opt", 0.5, 0.3])
+    def test_verdict_judged_on_a_written_bound(self, tmp_path, monkeypatch, policy):
+        # the envelope is evaluated over the grid once per written column
+        # (alpha_fixed = 0.5 and the optimized alpha), plus once for a fixed
+        # policy alpha that neither column holds
+        import dataclasses
+
+        import contracting_sde.bounds as bounds_mod
+        import contracting_sde.scenarios as scenarios_mod
+
+        calls = []
+        make = bounds_mod.make_envelope
+
+        def counted(kind, params):
+            env = make(kind, params)
+
+            def eval_grid(times, alpha):
+                calls.append(alpha)
+                return env.eval_grid(times, alpha)
+
+            return dataclasses.replace(env, eval_grid=eval_grid)
+
+        monkeypatch.setattr(scenarios_mod.bnd, "make_envelope", counted)
+        cfg = parse_config(json.dumps(_tiny_run_config(alpha_policy=policy)))
+        verdict = run_scenario(cfg, tmp_path / "bundle")
+        assert len(calls) == (3 if policy == 0.3 else 2)
+        rows = (tmp_path / "bundle" / "moments.csv").read_text(encoding="utf-8").splitlines()
+        cols = [list(map(float, r.split(","))) for r in rows[1:]]
+        column = 4 if policy == "opt" else 3
+        if policy != 0.3:
+            margins = [(r[column] - r[1]) / max(r[column], 1e-12) for r in cols]
+            assert verdict.worst_margin == min(margins)

@@ -103,6 +103,17 @@ class TestOslipSampled:
         with pytest.raises(EstimationError):
             oslip_sampled(lambda x, u: -x, None, sampler, identity_metric(1), n_pairs=100)
 
+    def test_non_broadcasting_drift_names_expected_shape(self):
+        # a drift written for one state indexes components by position and
+        # returns a (2, 2) array on a batch of 100 states
+        F = lambda x, u: np.array([-x[0] + u[0], -0.5 * x[1] + u[1]])
+        with pytest.raises(InputError, match=r"shape \(2, 2\).*expected \(100, 2\)"):
+            oslip_sampled(F, ([-1, -1], [1, 1]), box_sampler([-1, -1], [1, 1]),
+                          identity_metric(2), n_pairs=100)
+        with pytest.raises(InputError, match=r"shape \(2, 2\).*expected \(100, 2\)"):
+            input_lipschitz(F, identity_metric(2), u_box=([-1, -1], [1, 1]),
+                            x_sampler=box_sampler([-1, -1], [1, 1]), n_pairs=100)
+
 
 class TestInputLipschitz:
     def test_tracker_gain(self):

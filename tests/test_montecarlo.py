@@ -29,7 +29,6 @@ from contracting_sde import (
     identity_metric,
     integrate_cascade,
     make_envelope,
-    moment_growth_guard,
     ou_moment,
     pair_error_moment,
     scalar_tracker,
@@ -102,12 +101,6 @@ class TestPairErrorMoment:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
             pair_error_moment(sc, n_paths=100, master_seed=0)
         assert err.value.path_index is not None
-
-    def test_debug_guard_passes_on_sane_run(self):
-        sc = _ou_pair_scenario(CouplingMode.INDEPENDENT, steps=200)
-        guard = moment_growth_guard(1.0, [1.0])
-        series = pair_error_moment(sc, n_paths=128, master_seed=3, debug_guard=guard)
-        assert series.n_paths == 128
 
 
 class TestTrackingErrorMoment:
