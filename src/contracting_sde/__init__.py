@@ -30,7 +30,6 @@ from .bounds import (
     track_ou_sisc_tail,
 )
 from .contraction import (
-    Certificate,
     box_sampler,
     cascade_metric,
     certify_affine,
@@ -42,14 +41,13 @@ from .contraction import (
     oslip_sampled,
 )
 from .core import (
+    Certificate,
     EquilibriumMap,
     InputSignal,
     Metric,
     SystemSpec,
     TimeGrid,
     affine_system,
-    check_derivative,
-    check_equilibrium_residual,
     identity_metric,
     scalar_tracker,
     validate_metric,
@@ -92,13 +90,11 @@ from .noise import (
     JDParams,
     OUParams,
     RngLineage,
-    brownian_increments,
     feller_check,
     jd_step,
     jd_step_with_flag,
     ou_exact_step,
     ou_second_moment,
-    stream_correlation,
 )
 from .scenarios import ScenarioConfig, parse_config, resolve_output_dir, run_scenario
 from .wasserstein import (

@@ -5,6 +5,7 @@ Commands:
   certify <config>
   batch <dir>
 
+The run overrides are checked as config keys are, before any simulation.
 Exit codes: 0 = verdict holds, 2 = verdict fails, 1 = execution error. The
 default output directory can be set via the CONTRACTING_SDE_OUT environment
 variable.
@@ -43,7 +44,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
         data["alpha_policy"] = "opt" if args.alpha == "opt" else float(args.alpha)
     if getattr(args, "workers", None) is not None:
         data["n_workers"] = args.workers
-    return ScenarioConfig(kind=cfg.kind, data=data)
+    return parse_config(json.dumps(data))
 
 
 def _cmd_run(args) -> int:

@@ -8,33 +8,13 @@ silently promoted to certificates.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, asdict
-from typing import Callable, Optional
-
 import numpy as np
 import scipy.linalg
 
-from .core import EquilibriumMap, Metric, validate_metric
+from .core import Certificate, EquilibriumMap, Metric, validate_metric
 from .errors import EstimationError, InputError
 
 _PAIR_DISTANCE_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Constants (c, ell, sigma_x^2) with provenance."""
-
-    c_hat: float
-    ell_hat: float
-    sigma_x_sq_hat: float
-    method: str  # "exact-affine" | "sampled"
-    sample_count: int = 0
-    confidence_note: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def oslip_affine(A: np.ndarray, metric: Metric) -> float:

@@ -1,13 +1,13 @@
-"""Shared domain types: weighted metrics, system specifications, time grids,
-input signals and equilibrium maps.
+"""Shared domain types: weighted metrics, certificates, system
+specifications, time grids, input signals and equilibrium maps.
 
 All types are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -212,15 +212,19 @@ class InputSignal:
         return InputSignal("callable", dim, value_fn, derivative_fn, box=box)
 
 
-def check_derivative(signal: InputSignal, ts, rtol: float = 1e-6, h: float = 1e-6) -> float:
-    """Max relative mismatch between declared derivative and central differences."""
-    worst = 0.0
-    for t in np.asarray(ts, dtype=float):
-        fd = (signal.value(t + h) - signal.value(t - h)) / (2.0 * h)
-        d = signal.derivative(t)
-        scale = max(1.0, float(np.abs(d).max()))
-        worst = max(worst, float(np.abs(fd - d).max()) / scale)
-    return worst
+@dataclass(frozen=True)
+class Certificate:
+    """Constants (c, ell, sigma_x^2) with provenance."""
+
+    c_hat: float
+    ell_hat: float
+    sigma_x_sq_hat: float
+    method: str  # "exact-affine" | "sampled"
+    sample_count: int = 0
+    confidence_note: str = ""
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,7 @@ class SystemSpec:
 
     ``drift`` and ``dispersion`` must broadcast over a leading batch axis
     (an (N, n) state block maps to (N, n) drifts); all built-in affine
-    systems do. ``constants`` carries the certified contraction rate c,
+    systems do. ``certificate`` carries the certified contraction rate c,
     input Lipschitz constant ell and dispersion bound sigma_x_sq.
 
     ``affine = (A, B)`` states that drift(x, u) = A x + B u; it requires the
@@ -242,20 +246,20 @@ class SystemSpec:
     drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dispersion: Callable[[np.ndarray, np.ndarray], np.ndarray]
     metric: Metric
-    constants: dict
+    certificate: Certificate
     noise_dim: int = 1
     dispersion_matrix: Optional[np.ndarray] = None  # set when constant in (x, u)
     lipschitz_budget: Optional[float] = None
     affine: Optional[tuple] = None  # (A, B) of an affine drift A x + B u
 
     def __post_init__(self):
-        c = self.constants.get("c")
-        if c is None or c <= 0:
-            raise InputError("constants.c must be a positive contraction rate")
-        if self.constants.get("sigma_x_sq", 0.0) < 0:
-            raise InputError("constants.sigma_x_sq must be nonnegative")
-        if self.constants.get("ell", 0.0) < 0:
-            raise InputError("constants.ell must be nonnegative")
+        cert = self.certificate
+        if not cert.c_hat > 0:
+            raise InputError("certificate.c_hat must be a positive contraction rate")
+        if cert.sigma_x_sq_hat < 0:
+            raise InputError("certificate.sigma_x_sq_hat must be nonnegative")
+        if cert.ell_hat < 0:
+            raise InputError("certificate.ell_hat must be nonnegative")
         if self.affine is not None:
             A, B = (np.asarray(M, dtype=float) for M in self.affine)
             n, m, S = self.state_dim, self.input_dim, self.dispersion_matrix
@@ -271,9 +275,9 @@ class SystemSpec:
 def affine_system(A, B, Sigma, metric: Metric, lipschitz_budget=None) -> SystemSpec:
     """System with drift A x + B u and constant dispersion Sigma.
 
-    The certified constants are exact for affine systems: c from the
-    generalized eigenvalue problem on (PA + A^T P)/2, ell as the induced
-    norm of chol^T B, sigma_x_sq as trace(Sigma^T P Sigma).
+    Its certificate (``certify_affine``) is exact for affine systems: c
+    from the generalized eigenvalue problem on (PA + A^T P)/2, ell as the
+    induced norm of chol^T B, sigma_x_sq as trace(Sigma^T P Sigma).
     """
     from .contraction import certify_affine
 
@@ -297,7 +301,6 @@ def affine_system(A, B, Sigma, metric: Metric, lipschitz_budget=None) -> SystemS
         raise CertificationError(
             f"affine drift is not contracting in the given metric (osLip={-cert.c_hat:.6e})"
         )
-    constants = {"c": cert.c_hat, "ell": cert.ell_hat, "sigma_x_sq": cert.sigma_x_sq_hat}
 
     def drift(x, u):
         return x @ A.T + u @ B.T
@@ -315,7 +318,7 @@ def affine_system(A, B, Sigma, metric: Metric, lipschitz_budget=None) -> SystemS
         drift=drift,
         dispersion=dispersion,
         metric=metric,
-        constants=constants,
+        certificate=cert,
         noise_dim=r,
         dispersion_matrix=Sigma,
         lipschitz_budget=lipschitz_budget,
@@ -390,16 +393,3 @@ def _fd_jacobian(f, u, h=1e-6):
         J[:, j] = (np.atleast_1d(f(u + e)) - np.atleast_1d(f(u - e))) / (2.0 * h)
     return J
 
-
-def check_equilibrium_residual(drift, eq_map: EquilibriumMap, u_samples, atol: float = 1e-9) -> float:
-    """Max ||F(x_star(u), u)||_2 over the sampled inputs; raises if above atol."""
-    worst = 0.0
-    for u in np.atleast_2d(np.asarray(u_samples, dtype=float)):
-        xs = eq_map.x_star(u)
-        res = float(np.linalg.norm(np.atleast_1d(drift(xs, u))))
-        worst = max(worst, res)
-    if worst > atol:
-        raise CertificationError(
-            f"equilibrium residual {worst:.3e} exceeds tolerance {atol:.1e}"
-        )
-    return worst

@@ -1,8 +1,8 @@
 """Noise process generators and their closed-form oracles.
 
-Brownian increments, the exact Gaussian transition of the mean-reverting
-Ornstein-Uhlenbeck process, and a boundary-safe full-truncation Euler step
-for the Jacobi diffusion on (0, a).
+The exact Gaussian transition of the mean-reverting Ornstein-Uhlenbeck
+process, and a boundary-safe full-truncation Euler step for the Jacobi
+diffusion on (0, a).
 
 Randomness comes from counter-based Philox streams keyed by
 (master_seed, path_index), so ensembles are reproducible bit-for-bit and
@@ -116,14 +116,6 @@ def feller_check(p: JDParams, t_samples) -> dict:
     return {"holds": margin >= 0.0, "margin": margin}
 
 
-def brownian_increments(dim: int, grid, lineage: RngLineage) -> np.ndarray:
-    """(steps, dim) matrix of i.i.d. N(0, dt) increments, deterministic per lineage."""
-    if dim < 1:
-        raise InputError("dim must be >= 1")
-    rng = lineage.stream()
-    return rng.standard_normal((grid.steps, dim)) * math.sqrt(grid.dt)
-
-
 def ou_exact_step(xi: np.ndarray, p: OUParams, dt: float, z: np.ndarray) -> np.ndarray:
     """Exact Gaussian transition of the OU process over one step of length dt.
 
@@ -194,9 +186,3 @@ def jd_step(u, p: JDParams, t: float, dt: float, z):
     """Jacobi-diffusion step; see jd_step_with_flag. Output lies inside (0, a)."""
     return jd_step_with_flag(u, p, t, dt, z)[0]
 
-
-def stream_correlation(seed: int, i: int, j: int, n: int = 10_000) -> float:
-    """Pearson correlation between two lineage streams (sanity check helper)."""
-    a = RngLineage(seed, i).stream().standard_normal(n)
-    b = RngLineage(seed, j).stream().standard_normal(n)
-    return float(np.corrcoef(a, b)[0, 1])

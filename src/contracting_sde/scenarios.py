@@ -5,6 +5,10 @@ the system, its inputs or tracking target, the noise model, the time grid,
 and the ensemble size. ``run_scenario`` executes it and writes a report
 bundle (certificate, empirical series, envelope table, verdict, plot data)
 into one directory; the verdict drives the process exit code.
+
+A moment run translates its config once, into the ``PairScenario`` or
+``CascadeScenario`` it simulates; the envelope's inputs are read from that
+object and from the system's certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import io
 import json
 import math
 import os
-import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -22,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bnd
-from .contraction import certify_affine
 from .core import (
     EquilibriumMap,
     InputSignal,
@@ -36,7 +39,6 @@ from .errors import ConfigError
 from .integrate import CouplingMode, default_dt
 from .montecarlo import (
     CascadeScenario,
-    MomentSeries,
     PairScenario,
     Verdict,
     _resolve_alpha,
@@ -55,49 +57,29 @@ from .wasserstein import (
 
 OUTPUT_DIR_ENV = "CONTRACTING_SDE_OUT"
 
-KINDS = (
-    "niss_pair", "niss_vs_ode", "track_didc", "track_ou_sidc",
-    "track_ou_sisc", "track_jd_sidc", "track_jd_sisc", "wasserstein", "gibbs",
-)
-
 _COMMON_KEYS = {
     "scenario_kind", "grid", "n_paths", "master_seed", "alpha_policy",
-    "alpha_fixed", "output_dir", "n_workers",
+    "output_dir", "n_workers",
 }
-_KIND_KEYS = {
-    "niss_pair": {"system", "input_x", "input_y", "x0", "y0", "coupling"},
-    "niss_vs_ode": {"system", "input_x", "input_y", "x0", "y0"},
-    "track_didc": {"system", "theta", "x0", "eq_map"},
-    "track_ou_sidc": {"system", "theta", "x0", "eq_map", "noise", "xi0"},
-    "track_ou_sisc": {"system", "theta", "x0", "eq_map", "noise", "xi0"},
-    "track_jd_sidc": {"system", "theta", "x0", "eq_map", "noise", "u0"},
-    "track_jd_sisc": {"system", "theta", "x0", "eq_map", "noise", "u0"},
-    "wasserstein": {"system", "input_x", "input_y", "cloud", "p"},
-    "gibbs": {"potential", "sigma"},
+_PAIR = ("system", "input_x", "input_y")
+_TRACK = ("system", "theta", "x0", "eq_map")
+_KIND_KEYS = {  # kind -> (required keys, optional keys)
+    "niss_pair": ({*_PAIR, "x0", "y0"}, {"coupling"}),
+    "niss_vs_ode": ({*_PAIR, "x0", "y0"}, set()),
+    "track_didc": (set(_TRACK), set()),
+    "track_ou_sidc": ({*_TRACK, "noise"}, {"xi0"}),
+    "track_ou_sisc": ({*_TRACK, "noise"}, {"xi0"}),
+    "track_jd_sidc": ({*_TRACK, "noise"}, {"u0"}),
+    "track_jd_sisc": ({*_TRACK, "noise"}, {"u0"}),
+    "wasserstein": ({*_PAIR, "cloud"}, {"p"}),
+    "gibbs": ({"potential", "sigma"}, set()),
 }
-_KIND_REQUIRED = {
-    "niss_pair": {"system", "input_x", "input_y", "x0", "y0"},
-    "niss_vs_ode": {"system", "input_x", "input_y", "x0", "y0"},
-    "track_didc": {"system", "theta", "x0", "eq_map"},
-    "track_ou_sidc": {"system", "theta", "x0", "eq_map", "noise"},
-    "track_ou_sisc": {"system", "theta", "x0", "eq_map", "noise"},
-    "track_jd_sidc": {"system", "theta", "x0", "eq_map", "noise"},
-    "track_jd_sisc": {"system", "theta", "x0", "eq_map", "noise"},
-    "wasserstein": {"system", "input_x", "input_y", "cloud"},
-    "gibbs": {"potential", "sigma"},
-}
+KINDS = tuple(_KIND_KEYS)
 _OU_NOISE_KEYS = {"c", "sigma"}
 _JD_NOISE_KEYS = {"c", "sigma_u", "a", "theta_is_target", "unsafe"}
 
-_ENVELOPE_KIND = {
-    "niss_pair": "niss_two_traj",
-    "niss_vs_ode": "niss_vs_ode",
-    "track_didc": "track_didc",
-    "track_ou_sidc": "track_ou_sidc",
-    "track_ou_sisc": "track_ou_sisc",
-    "track_jd_sidc": "track_jd_sidc",
-    "track_jd_sisc": "track_jd_sisc",
-}
+# the fixed-alpha column of a moment bundle run under the "opt" policy
+_OPT_FIXED_ALPHA = 0.5
 
 TAIL_FRACTION = 0.2  # window used to operationalize long-run suprema
 
@@ -128,13 +110,13 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(
             f"unknown scenario kind '{kind}'; expected one of {', '.join(KINDS)}"
         )
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
+    required, optional = _KIND_KEYS[kind]
     for key in raw:
-        if key not in allowed:
+        if key not in _COMMON_KEYS | required | optional:
             raise ConfigError(
                 f"unknown key '{key}' for scenario kind '{kind}'"
             )
-    for key in _KIND_REQUIRED[kind]:
+    for key in required:
         if key not in raw:
             raise ConfigError(
                 f"missing required field '{key}' for scenario kind '{kind}'"
@@ -142,7 +124,24 @@ def parse_config(text: str) -> ScenarioConfig:
     data = dict(raw)
     _validate_noise_fields(kind, data)
     _fill_defaults(kind, data)
+    _validate_policy_fields(kind, data)
     return ScenarioConfig(kind=kind, data=data)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _validate_policy_fields(kind: str, data: dict):
+    """Reject an alpha policy or a W_p order that the run would reject only
+    after simulating."""
+    alpha = data["alpha_policy"]
+    if alpha != "opt" and not (_is_number(alpha) and 0.0 < alpha < 1.0):
+        raise ConfigError(f"'alpha_policy' must be \"opt\" or lie in (0, 1), got {alpha!r}")
+    if kind == "wasserstein":
+        p = data["p"]
+        if p != "inf" and not (_is_number(p) and p >= 1.0):
+            raise ConfigError(f"'p' must be a number >= 1 or \"inf\", got {p!r}")
 
 
 def _validate_noise_fields(kind: str, data: dict):
@@ -174,7 +173,8 @@ def _fill_defaults(kind: str, data: dict):
     if kind == "gibbs":
         c = float(data["potential"].get("c", 1.0))
     else:
-        c = _build_system(data["system"]).constants["c"]
+        sys = _build_system(data["system"])
+        c = sys.certificate.c_hat
     grid = dict(data.get("grid", {}))
     grid.setdefault("t0", 0.0)
     grid.setdefault("dt", default_dt(c))
@@ -186,7 +186,6 @@ def _fill_defaults(kind: str, data: dict):
     data.setdefault("n_paths", 10_000)
     data.setdefault("master_seed", 0)
     data.setdefault("alpha_policy", "opt")
-    data.setdefault("alpha_fixed", 0.5)
     data.setdefault("n_workers", 1)
     if kind == "niss_pair":
         data.setdefault("coupling", "independent")
@@ -194,7 +193,7 @@ def _fill_defaults(kind: str, data: dict):
         noise = dict(data["noise"])
         noise.setdefault("c", c)
         data["noise"] = noise
-        data.setdefault("xi0", [0.0])
+        data.setdefault("xi0", [0.0] * sys.input_dim)
     if kind.startswith("track_jd"):
         noise = dict(data["noise"])
         noise.setdefault("c", c)
@@ -259,89 +258,62 @@ def _signal_sq_fn(fn_of_t):
     return g
 
 
-def _bound_params(cfg: ScenarioConfig, cert, grid: TimeGrid, metric):
-    """Assemble envelope parameters from the certificate and the config."""
+def _moment_scenario(cfg: ScenarioConfig, grid: TimeGrid, sys: SystemSpec):
+    """The scenario a moment run simulates, with its equilibrium map: a
+    PairScenario and None, or a CascadeScenario and its map. ``track_didc``
+    runs an OU input with sigma = 0 from xi0 = 0."""
     d = cfg.data
-    kind = cfg.kind
-    c, ell, sx = cert.c_hat, cert.ell_hat, cert.sigma_x_sq_hat
-    times = grid.times()
-    kwargs = dict(c=c, ell=ell, sigma_x_sq=sx)
-    if kind in ("niss_pair", "niss_vs_ode"):
-        u_x, u_y = _build_signal(d["input_x"]), _build_signal(d["input_y"])
-        x0 = np.atleast_1d(np.asarray(d["x0"], dtype=float))
-        y0 = np.atleast_1d(np.asarray(d["y0"], dtype=float))
-        gap = _signal_sq_fn(lambda t: u_x.value(t) - u_y.value(t))
-        kwargs["E0"] = metric.norm_sq(x0 - y0)
-        kwargs["input_gap_sq"] = gap
-        kwargs["input_gap_sq_limsup"] = _tail_max(gap(times), grid.steps)
-        return bnd.BoundParams(**kwargs)
-    theta = _build_signal(d["theta"])
-    eq = _build_eq_map(d["eq_map"])
-    x0 = np.atleast_1d(np.asarray(d["x0"], dtype=float))
-    tdot = _signal_sq_fn(theta.derivative)
-    kwargs["theta_dot_sq"] = tdot
-    kwargs["theta_dot_sq_limsup"] = _tail_max(tdot(times), grid.steps)
-    if kind == "track_didc":
-        kwargs["E0"] = metric.norm_sq(x0 - np.atleast_1d(eq.x_star(theta.value(grid.t0))))
-        return bnd.BoundParams(**kwargs)
-    if kind.startswith("track_ou"):
-        noise = d["noise"]
-        xi0 = np.atleast_1d(np.asarray(d["xi0"], dtype=float))
-        kwargs["sigma_xi_sq"] = float(noise["sigma"]) ** 2
-        kwargs["Exi0"] = float(xi0 @ xi0)
-        kwargs["h_ou"] = 0.0  # affine equilibrium maps have zero curvature
-        v0 = theta.value(grid.t0)
-        if kind.endswith("sisc"):
-            v0 = v0 + xi0
-        kwargs["E0"] = metric.norm_sq(x0 - np.atleast_1d(eq.x_star(v0)))
-        return bnd.BoundParams(**kwargs)
-    noise = d["noise"]
-    a = np.atleast_1d(np.asarray(noise["a"], dtype=float))
-    u0 = np.atleast_1d(np.asarray(d.get("u0", theta.value(grid.t0)), dtype=float))
-    kwargs["sigma_u_sq"] = float(noise["sigma_u"]) ** 2
-    kwargs["a_norm_sq"] = float(a @ a)
-    kwargs["Exi0"] = float((u0 - theta.value(grid.t0)) @ (u0 - theta.value(grid.t0)))
-    kwargs["h_jd"] = 0.0
-    v0 = u0 if kind.endswith("sisc") else theta.value(grid.t0)
-    kwargs["E0"] = metric.norm_sq(x0 - np.atleast_1d(eq.x_star(v0)))
-    return bnd.BoundParams(**kwargs)
-
-
-def _simulate_moments(cfg: ScenarioConfig, grid: TimeGrid, sys) -> MomentSeries:
-    d = cfg.data
-    kind = cfg.kind
-    n_paths, seed = int(d["n_paths"]), int(d["master_seed"])
-    workers = int(d["n_workers"])
-    if kind in ("niss_pair", "niss_vs_ode"):
+    x0 = np.asarray(d["x0"], dtype=float)
+    if cfg.kind in ("niss_pair", "niss_vs_ode"):
         sys_y = sys
-        if kind == "niss_vs_ode":
+        if cfg.kind == "niss_vs_ode":
             sys_y = affine_system(*sys.affine, sys.dispersion_matrix * 0.0, sys.metric)
         mode = CouplingMode.COMMON if d.get("coupling") == "common" else CouplingMode.INDEPENDENT
-        sc = PairScenario(
-            sys_x=sys, sys_y=sys_y,
-            x0=np.asarray(d["x0"], dtype=float), y0=np.asarray(d["y0"], dtype=float),
+        return PairScenario(
+            sys_x=sys, sys_y=sys_y, x0=x0, y0=np.asarray(d["y0"], dtype=float),
             u_x=_build_signal(d["input_x"]), u_y=_build_signal(d["input_y"]),
             mode=mode, grid=grid,
-        )
-        return pair_error_moment(sc, n_paths, seed, n_workers=workers)
+        ), None
     theta = _build_signal(d["theta"])
-    eq = _build_eq_map(d["eq_map"])
-    if kind.startswith("track_ou") or kind == "track_didc":
-        noise_d = d.get("noise", {"c": sys.constants["c"], "sigma": 0.0})
-        noise = OUParams(c=float(noise_d["c"]), sigma=float(noise_d.get("sigma", 0.0)),
-                         dim=sys.input_dim)
-        xi0 = np.asarray(d.get("xi0", np.zeros(sys.input_dim)), dtype=float)
-    else:
-        noise_d = d["noise"]
-        noise = JDParams(
-            c=float(noise_d["c"]), theta=theta, sigma_u=float(noise_d["sigma_u"]),
-            a=np.asarray(noise_d["a"], dtype=float), unsafe=bool(noise_d.get("unsafe", False)),
-        )
+    if cfg.kind.startswith("track_jd"):
+        nd = d["noise"]
+        noise = JDParams(c=float(nd["c"]), theta=theta, sigma_u=float(nd["sigma_u"]),
+                         a=np.asarray(nd["a"], dtype=float), unsafe=bool(nd["unsafe"]))
         xi0 = np.asarray(d.get("u0", theta.value(grid.t0)), dtype=float)
-    sc = CascadeScenario(noise=noise, theta=theta, sys=sys,
-                         x0=np.asarray(d["x0"], dtype=float), xi0=xi0, grid=grid)
-    target = "stochastic_curve" if kind.endswith("sisc") else "deterministic_curve"
-    return tracking_error_moment(sc, eq, target, n_paths, seed, n_workers=workers)
+    else:
+        nd = d.get("noise", {"c": sys.certificate.c_hat, "sigma": 0.0})
+        noise = OUParams(c=float(nd["c"]), sigma=float(nd["sigma"]), dim=sys.input_dim)
+        xi0 = np.asarray(d.get("xi0", np.zeros(sys.input_dim)), dtype=float)
+    sc = CascadeScenario(noise=noise, theta=theta, sys=sys, x0=x0, xi0=xi0, grid=grid)
+    return sc, _build_eq_map(d["eq_map"])
+
+
+def _bound_params(kind: str, sc, eq) -> bnd.BoundParams:
+    """Envelope parameters of the scenario ``sc`` that the run simulates."""
+    grid = sc.grid
+    times = grid.times()
+    sys = sc.sys_x if eq is None else sc.sys
+    cert = sys.certificate
+    kwargs = dict(c=cert.c_hat, ell=cert.ell_hat, sigma_x_sq=cert.sigma_x_sq_hat)
+    if eq is None:
+        gap = _signal_sq_fn(lambda t: sc.u_x.value(t) - sc.u_y.value(t))
+        return bnd.BoundParams(
+            **kwargs, E0=sys.metric.norm_sq(np.atleast_1d(sc.x0 - sc.y0)),
+            input_gap_sq=gap, input_gap_sq_limsup=_tail_max(gap(times), grid.steps))
+    tdot = _signal_sq_fn(sc.theta.derivative)
+    kwargs.update(theta_dot_sq=tdot, theta_dot_sq_limsup=_tail_max(tdot(times), grid.steps))
+    # h_ou = h_jd = 0: affine equilibrium maps have zero curvature
+    th0 = sc.theta.value(grid.t0)
+    xi0, noise = np.atleast_1d(sc.xi0), sc.noise
+    if isinstance(noise, OUParams):
+        kwargs.update(sigma_xi_sq=noise.sigma**2, Exi0=float(xi0 @ xi0))
+        v0 = th0 + xi0 if kind.endswith("sisc") else th0
+    else:  # JD: xi0 is the initial input u0
+        kwargs.update(sigma_u_sq=noise.sigma_u**2, a_norm_sq=float(noise.a @ noise.a),
+                      Exi0=float((xi0 - th0) @ (xi0 - th0)))
+        v0 = xi0 if kind.endswith("sisc") else th0
+    E0 = sys.metric.norm_sq(np.atleast_1d(sc.x0) - np.atleast_1d(eq.x_star(v0)))
+    return bnd.BoundParams(**kwargs, E0=E0)
 
 
 def _fmt(x) -> str:
@@ -368,24 +340,17 @@ def resolve_output_dir(cfg: ScenarioConfig, override: Optional[str], stem: str) 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path, dry_run: bool = False) -> Verdict:
     """Execute one scenario and write its report bundle into out_dir.
 
-    On any failure, files created by this run are removed before the error
-    propagates.
+    The bundle is written into a temporary directory beside out_dir, and
+    its files are moved into out_dir only once the run has succeeded: a
+    failed run leaves out_dir as it was, and creates it only on success.
     """
-    created = not out_dir.exists()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        return _run_scenario_inner(cfg, out_dir, dry_run)
-    except Exception:
-        if created:
-            shutil.rmtree(out_dir, ignore_errors=True)
-        else:
-            for name in ("certificate.json", "moments.csv", "wasserstein.csv",
-                         "envelope.csv", "verdict.json", "plotdata.csv", "gibbs.csv"):
-                try:
-                    (out_dir / name).unlink()
-                except FileNotFoundError:
-                    pass
-        raise
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as tmp:
+        verdict = _run_scenario_inner(cfg, Path(tmp), dry_run)
+        out_dir.mkdir(exist_ok=True)
+        for path in Path(tmp).iterdir():
+            os.replace(path, out_dir / path.name)
+    return verdict
 
 
 def _run_scenario_inner(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Verdict:
@@ -400,8 +365,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Ve
             indent=2, sort_keys=True)
     else:
         sys = _build_system(d["system"])
-        cert = certify_affine(*sys.affine, sys.dispersion_matrix, sys.metric)
-        certificate = cert.to_json()
+        certificate = sys.certificate.to_json()
     (out_dir / "certificate.json").write_text(certificate + "\n", encoding="utf-8")
     if dry_run:
         (out_dir / "verdict.json").write_text(json.dumps(
@@ -413,25 +377,29 @@ def _run_scenario_inner(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Ve
         return _run_gibbs(cfg, out_dir, grid, potential)
     if cfg.kind == "wasserstein":
         return _run_wasserstein(cfg, out_dir, grid, sys)
-    return _run_moments(cfg, out_dir, grid, sys, cert)
+    return _run_moments(cfg, out_dir, grid, sys)
 
 
-def _run_moments(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, sys, cert) -> Verdict:
+def _run_moments(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, sys) -> Verdict:
     d = cfg.data
-    params = _bound_params(cfg, cert, grid, sys.metric)
-    env = bnd.make_envelope(_ENVELOPE_KIND[cfg.kind], params)
-    series = _simulate_moments(cfg, grid, sys)
+    sc, eq = _moment_scenario(cfg, grid, sys)
+    env = bnd.make_envelope("niss_two_traj" if cfg.kind == "niss_pair" else cfg.kind,
+                            _bound_params(cfg.kind, sc, eq))
+    n_paths, seed, workers = int(d["n_paths"]), int(d["master_seed"]), int(d["n_workers"])
+    if eq is None:
+        series = pair_error_moment(sc, n_paths, seed, n_workers=workers)
+    else:
+        target = "stochastic_curve" if cfg.kind.endswith("sisc") else "deterministic_curve"
+        series = tracking_error_moment(sc, eq, target, n_paths, seed, n_workers=workers)
     times = series.times()
-    a_fixed = float(d["alpha_fixed"])
+    # a fixed policy's alpha has the fixed column; "opt" judges the optimized one
+    opt = d["alpha_policy"] == "opt"
+    a_fixed = _OPT_FIXED_ALPHA if opt else float(d["alpha_policy"])
     a_opt = _resolve_alpha(env, "optimized", grid)
     elapsed = times - grid.t0
     bound_fixed = env.eval_grid(elapsed, a_fixed)
     bound_opt = env.eval_grid(elapsed, a_opt)
-    # the verdict is judged on the bound written for the policy's alpha
-    a_policy = a_opt if d["alpha_policy"] == "opt" else float(d["alpha_policy"])
-    written = {a_fixed: bound_fixed, a_opt: bound_opt}
-    bound = written[a_policy] if a_policy in written else env.eval_grid(elapsed, a_policy)
-    verdict = compare_to_bound(series, bound)
+    verdict = compare_to_bound(series, bound_opt if opt else bound_fixed)
 
     header = ["t", "mean_sq", "std_err", "bound_fixed_alpha", "bound_opt_alpha"]
     rows = zip(times, series.mean_sq, series.std_err, bound_fixed, bound_opt)

@@ -213,8 +213,7 @@ def wasserstein_series(
     clouds_x = np.concatenate([px for px, _ in parts], axis=1)
     clouds_y = np.concatenate([py for _, py in parts], axis=1)
 
-    c = sc.sys_x.constants["c"]
-    ell = sc.sys_x.constants.get("ell", 0.0)
+    c, ell = sc.sys_x.certificate.c_hat, sc.sys_x.certificate.ell_hat
     gap = lambda ts: np.array([
         float(np.linalg.norm(sc.u_x.value(t) - sc.u_y.value(t))) for t in np.atleast_1d(ts)
     ])

@@ -245,7 +245,7 @@ def test_criterion_07_cascade_contracts_at_half_rate():
     one-sided Lipschitz constant over 1e5 pairs is at most -c/2 + 1e-3."""
     c = 2.0
     sys = scalar_tracker(c, 0.2)
-    ell = sys.constants["ell"]
+    ell = sys.certificate.ell_hat
     Pc = cascade_metric(identity_metric(1), c=c, ell=ell, m=1)
 
     def cascade_field(s, th):

@@ -30,6 +30,46 @@ def _tiny_run_config(**extra):
         grid={"dt": 0.01, "steps": 50}, n_paths=200, **extra)
 
 
+def _tiny_track_didc(**extra):
+    cfg = {
+        "scenario_kind": "track_didc",
+        "system": {"name": "scalar_tracker", "c": 1.0, "sigma": 0.2},
+        "theta": {"kind": "constant", "value": [0.0]},
+        "x0": [0.0],
+        "eq_map": {"M": [[1.0]]},
+        "grid": {"dt": 0.01, "steps": 50},
+        "n_paths": 200,
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def _tiny_wasserstein(**extra):
+    cfg = {
+        "scenario_kind": "wasserstein",
+        "system": {"name": "scalar_tracker", "c": 1.0, "sigma": 0.3},
+        "input_x": {"kind": "constant", "value": [1.0]},
+        "input_y": {"kind": "constant", "value": [0.0]},
+        "cloud": {"k": 64},
+        "grid": {"dt": 0.01, "steps": 50},
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def _feller_violation():
+    return {
+        "scenario_kind": "track_jd_sidc",
+        "system": {"name": "scalar_tracker", "c": 1.0, "sigma": 0.2},
+        "theta": {"kind": "constant", "value": [0.5]},
+        "x0": [0.5],
+        "eq_map": {"M": [[1.0]]},
+        "noise": {"sigma_u": 2.0, "a": [1.0]},
+        "grid": {"dt": 0.01, "steps": 100},
+        "n_paths": 100,
+    }
+
+
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -179,17 +219,7 @@ class TestRunCommand:
         assert "FAILS" in capsys.readouterr().out
 
     def test_feller_violation_exits_one(self, tmp_path, capsys):
-        bad = {
-            "scenario_kind": "track_jd_sidc",
-            "system": {"name": "scalar_tracker", "c": 1.0, "sigma": 0.2},
-            "theta": {"kind": "constant", "value": [0.5]},
-            "x0": [0.5],
-            "eq_map": {"M": [[1.0]]},
-            "noise": {"sigma_u": 2.0, "a": [1.0]},
-            "grid": {"dt": 0.01, "steps": 100},
-            "n_paths": 100,
-        }
-        config = _write(tmp_path, "feller.json", bad)
+        config = _write(tmp_path, "feller.json", _feller_violation())
         code = main(["run", config, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
@@ -259,9 +289,8 @@ class TestRunScenarioApi:
 
     @pytest.mark.parametrize("policy", ["opt", 0.5, 0.3])
     def test_verdict_judged_on_a_written_bound(self, tmp_path, monkeypatch, policy):
-        # the envelope is evaluated over the grid once per written column
-        # (alpha_fixed = 0.5 and the optimized alpha), plus once for a fixed
-        # policy alpha that neither column holds
+        # the envelope is evaluated over the grid once per written column:
+        # the fixed policy's alpha (0.5 under "opt") and the optimized alpha
         import dataclasses
 
         import contracting_sde.bounds as bounds_mod
@@ -282,10 +311,91 @@ class TestRunScenarioApi:
         monkeypatch.setattr(scenarios_mod.bnd, "make_envelope", counted)
         cfg = parse_config(json.dumps(_tiny_run_config(alpha_policy=policy)))
         verdict = run_scenario(cfg, tmp_path / "bundle")
-        assert len(calls) == (3 if policy == 0.3 else 2)
+        assert len(calls) == 2
         rows = (tmp_path / "bundle" / "moments.csv").read_text(encoding="utf-8").splitlines()
         cols = [list(map(float, r.split(","))) for r in rows[1:]]
         column = 4 if policy == "opt" else 3
-        if policy != 0.3:
-            margins = [(r[column] - r[1]) / max(r[column], 1e-12) for r in cols]
-            assert verdict.worst_margin == min(margins)
+        margins = [(r[column] - r[1]) / max(r[column], 1e-12) for r in cols]
+        assert verdict.worst_margin == min(margins)
+        written = json.loads((tmp_path / "bundle" / "verdict.json").read_text(encoding="utf-8"))
+        assert written["alpha_fixed"] == (0.5 if policy == "opt" else policy)
+
+    @pytest.mark.parametrize("kind, certifications", [
+        ("niss_pair", 1), ("niss_vs_ode", 2), ("track_didc", 1), ("wasserstein", 1),
+    ])
+    def test_a_run_certifies_each_system_once(self, tmp_path, monkeypatch, kind, certifications):
+        # niss_vs_ode also builds the noiseless twin, which is another system
+        import sys
+
+        import contracting_sde.contraction as contraction_mod
+
+        configs = {
+            "niss_pair": _tiny_run_config(),
+            "niss_vs_ode": _tiny_run_config(scenario_kind="niss_vs_ode"),
+            "track_didc": _tiny_track_didc(),
+            "wasserstein": _tiny_wasserstein(),
+        }
+        cfg = parse_config(json.dumps(configs[kind]))
+        calls = []
+        certify = contraction_mod.certify_affine
+
+        def counted(*args):
+            calls.append(args)
+            return certify(*args)
+
+        for mod in list(sys.modules.values()):  # every module that imported it
+            if (getattr(mod, "__name__", "").startswith("contracting_sde")
+                    and getattr(mod, "certify_affine", None) is certify):
+                monkeypatch.setattr(mod, "certify_affine", counted)
+        run_scenario(cfg, tmp_path / "bundle")
+        assert len(calls) == certifications
+
+    def test_two_input_ou_config_without_xi0_runs(self, tmp_path):
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        cfg = parse_config(json.dumps({
+            "scenario_kind": "track_ou_sidc",
+            "system": {"A": [[-1.0, 0.0], [0.0, -1.0]], "B": eye,
+                       "Sigma": [[0.1, 0.0], [0.0, 0.1]]},
+            "theta": {"kind": "constant", "value": [0.5, -0.5]},
+            "x0": [0.5, -0.5],
+            "eq_map": {"M": eye},
+            "noise": {"sigma": 0.2},
+            "grid": {"dt": 0.01, "steps": 50},
+            "n_paths": 200,
+        }))
+        assert cfg.data["xi0"] == [0.0, 0.0]
+        assert run_scenario(cfg, tmp_path / "bundle").holds
+
+    def test_failed_rerun_keeps_the_earlier_bundle(self, tmp_path):
+        bundle = tmp_path / "bundle"
+        run_scenario(parse_config(json.dumps(_tiny_run_config())), bundle)
+        before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        with pytest.raises(ConfigError, match="Feller"):
+            run_scenario(parse_config(json.dumps(_feller_violation())), bundle)
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle"]
+
+
+class TestCheckedBeforeSimulating:
+    @pytest.mark.parametrize("alpha", ["foo", 1.5, 0.0, True])
+    def test_bad_alpha_policy(self, alpha):
+        with pytest.raises(ConfigError, match="'alpha_policy' must be"):
+            parse_config(json.dumps(_tiny_run_config(alpha_policy=alpha)))
+
+    @pytest.mark.parametrize("p", ["two", 0.5, None])
+    def test_bad_wasserstein_order(self, p):
+        with pytest.raises(ConfigError, match="'p' must be"):
+            parse_config(json.dumps(_tiny_wasserstein(p=p)))
+
+    def test_alpha_override_is_checked(self, tmp_path, capsys, monkeypatch):
+        import contracting_sde.scenarios as scenarios_mod
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a config that should not parse")
+
+        monkeypatch.setattr(scenarios_mod, "pair_error_moment", no_simulation)
+        config = _write(tmp_path, "tiny.json", _tiny_run_config())
+        code = main(["run", config, "--alpha", "1.5", "--out", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert "config error: 'alpha_policy'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "tiny").exists()

@@ -10,6 +10,7 @@ import scipy.integrate
 import scipy.linalg
 
 from contracting_sde import (
+    Certificate,
     ConfigError,
     CouplingMode,
     DivergenceError,
@@ -77,7 +78,7 @@ class TestEulerMaruyama:
             drift=lambda x, u: 1e3 * x,
             dispersion=lambda x, u: np.zeros((1, 1)),
             metric=identity_metric(1),
-            constants={"c": 1.0, "ell": 0.0, "sigma_x_sq": 0.0},
+            certificate=Certificate(1.0, 0.0, 0.0, "exact-affine"),
         )
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
             euler_maruyama(exploding, [1.0], ZERO, TimeGrid(0.0, 1.0, 200), RngLineage(0))
@@ -420,7 +421,7 @@ class TestSharedKernel:
             drift=lambda x, u: 1e3 * x,
             dispersion=lambda x, u: np.zeros((1, 1)),
             metric=identity_metric(1),
-            constants={"c": 1.0, "ell": 0.0, "sigma_x_sq": 0.0},
+            certificate=Certificate(1.0, 0.0, 0.0, "exact-affine"),
         )
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
             euler_maruyama(exploding, [1.0], ZERO, TimeGrid(0.0, 1.0, 200), RngLineage(0, 42))
@@ -434,7 +435,7 @@ def _closure_twin(sys):
     return SystemSpec(
         state_dim=sys.state_dim, input_dim=sys.input_dim,
         drift=lambda x, u: x @ A.T + u @ B.T, dispersion=lambda x, u: Sigma,
-        metric=sys.metric, constants=sys.constants, noise_dim=sys.noise_dim,
+        metric=sys.metric, certificate=sys.certificate, noise_dim=sys.noise_dim,
         lipschitz_budget=sys.lipschitz_budget,
     )
 
@@ -539,7 +540,7 @@ class TestAffineData:
         sys = scalar_tracker(1.0, 0.3)
         with pytest.raises(InputError, match="dispersion_matrix"):
             SystemSpec(state_dim=1, input_dim=1, drift=sys.drift, dispersion=sys.dispersion,
-                       metric=sys.metric, constants=sys.constants, affine=sys.affine)
+                       metric=sys.metric, certificate=sys.certificate, affine=sys.affine)
 
 
 def _reference_divergence(systems, x0s, rows, steps, dt, seed, start, common):

@@ -9,6 +9,7 @@ import pytest
 from contracting_sde import (
     BoundParams,
     CascadeScenario,
+    Certificate,
     ConfigError,
     CouplingMode,
     DivergenceError,
@@ -90,7 +91,7 @@ class TestPairErrorMoment:
             drift=lambda x, u: 1e3 * x,
             dispersion=lambda x, u: np.zeros((1, 1)),
             metric=identity_metric(1),
-            constants={"c": 1.0, "ell": 0.0, "sigma_x_sq": 0.0},
+            certificate=Certificate(1.0, 0.0, 0.0, "exact-affine"),
             noise_dim=1,
         )
         sc = PairScenario(

@@ -1,5 +1,5 @@
-"""Tests for noise generators: Brownian increments, the exact OU transition
-and its moment oracle, and the boundary-safe Jacobi-diffusion step."""
+"""Tests for noise generators: lineage streams, the exact OU transition and
+its moment oracle, and the boundary-safe Jacobi-diffusion step."""
 
 import math
 
@@ -13,14 +13,11 @@ from contracting_sde import (
     OUParams,
     RngLineage,
     StateCorruptionError,
-    TimeGrid,
-    brownian_increments,
     feller_check,
     jd_step,
     jd_step_with_flag,
     ou_exact_step,
     ou_second_moment,
-    stream_correlation,
 )
 
 
@@ -30,33 +27,15 @@ def _const_theta(value):
 
 class TestRngLineage:
     def test_same_lineage_identical(self):
-        g = TimeGrid(0.0, 1.0, 100)
-        a = brownian_increments(2, g, RngLineage(42, 7))
-        b = brownian_increments(2, g, RngLineage(42, 7))
+        a = RngLineage(42, 7).stream().standard_normal((100, 2))
+        b = RngLineage(42, 7).stream().standard_normal((100, 2))
         assert np.array_equal(a, b)
 
     def test_distinct_paths_uncorrelated(self):
-        assert abs(stream_correlation(0, 1, 2)) < 0.05
-        assert abs(stream_correlation(123, 0, 1)) < 0.05
-
-
-class TestBrownianIncrements:
-    def test_mean_clt_band(self):
-        # each entry ~ N(0, dt); SE of the mean over 1e5 entries is sqrt(dt/1e5)
-        g = TimeGrid(0.0, 1.0, 100_000)
-        dB = brownian_increments(1, g, RngLineage(0, 0))
-        assert abs(dB.mean()) <= 4.0 / math.sqrt(100_000)
-
-    def test_variance_chi_square_band(self):
-        g = TimeGrid(0.0, 0.25, 100_000)
-        dB = brownian_increments(1, g, RngLineage(1, 0))
-        assert dB.var() == pytest.approx(0.25, rel=0.05)
-
-    def test_shape_and_validation(self):
-        g = TimeGrid(0.0, 0.1, 50)
-        assert brownian_increments(3, g, RngLineage(0)).shape == (50, 3)
-        with pytest.raises(InputError):
-            brownian_increments(0, g, RngLineage(0))
+        for seed, i, j in ((0, 1, 2), (123, 0, 1)):
+            a = RngLineage(seed, i).stream().standard_normal(10_000)
+            b = RngLineage(seed, j).stream().standard_normal(10_000)
+            assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
 
 class TestOuExactStep:

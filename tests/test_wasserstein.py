@@ -11,6 +11,7 @@ import pytest
 from contracting_sde import (
     CapabilityError,
     CapacityError,
+    Certificate,
     DomainError,
     EmpiricalMeasure,
     InputError,
@@ -243,7 +244,7 @@ class TestWassersteinSeries:
             drift=lambda x, u: -x,
             dispersion=lambda x, u: np.atleast_2d(0.1 * x),
             metric=identity_metric(1),
-            constants={"c": 1.0, "ell": 0.0, "sigma_x_sq": 0.01},
+            certificate=Certificate(1.0, 0.0, 0.01, "exact-affine"),
             noise_dim=1,
         )
         x0 = np.linspace(0.5, 1.5, 8)[:, None]
