@@ -6,9 +6,9 @@ Commands:
   batch <dir>
 
 The run overrides are checked as config keys are, before any simulation.
-Exit codes: 0 = verdict holds, 2 = verdict fails, 1 = execution error. The
-default output directory can be set via the CONTRACTING_SDE_OUT environment
-variable.
+Exit codes: 0 = verdict holds (or --help), 2 = verdict fails, 1 = usage,
+config or execution error. The default output directory can be set via the
+CONTRACTING_SDE_OUT environment variable.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if getattr(args, "seed", None) is not None:
         data["master_seed"] = args.seed
     if getattr(args, "alpha", None) is not None:
-        data["alpha_policy"] = "opt" if args.alpha == "opt" else float(args.alpha)
+        try:
+            data["alpha_policy"] = float(args.alpha)
+        except ValueError:  # "opt", or text that parse_config rejects
+            data["alpha_policy"] = args.alpha
     if getattr(args, "workers", None) is not None:
         data["n_workers"] = args.workers
     return parse_config(json.dumps(data))
@@ -118,8 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_ERROR if exc.code else EXIT_HOLDS
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - exit-code contract

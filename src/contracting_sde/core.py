@@ -122,94 +122,98 @@ class TimeGrid:
 
 
 class InputSignal:
-    """Deterministic input u(t) in R^m with optional derivative and box domain.
+    """Deterministic input u(t) in R^m, with an optional derivative.
 
-    Kinds: constant, sinusoid, piecewise_linear, callable. The derivative is
-    defined for differentiable kinds; piecewise-linear signals return the
-    slope of the active segment.
+    Kinds: constant, sinusoid, piecewise_linear, callable. ``value`` and
+    ``derivative`` take a time or a 1-D array of times and return a (dim,)
+    row or a (len(ts), dim) array. Each call evaluates the closure once, on
+    an (N, 1) column of times, so a closure must broadcast its result to
+    (N, dim), as ``SystemSpec.drift`` and ``EquilibriumMap.x_star`` must
+    broadcast over a leading batch axis; one that does not raises
+    InputError. Piecewise-linear signals return the slope of the active
+    segment and continue their end segments.
     """
 
-    def __init__(self, kind, dim, value_fn, derivative_fn=None, box=None):
+    def __init__(self, kind, dim, value_fn, derivative_fn=None):
         self.kind = kind
         self.dim = int(dim)
         self._value = value_fn
         self._derivative = derivative_fn
-        self.box = box  # (lo, hi) arrays or None
 
-    def value(self, t: float) -> np.ndarray:
-        return np.asarray(self._value(t), dtype=float).reshape(self.dim)
+    def value(self, t) -> np.ndarray:
+        return self._eval(self._value, t)
 
-    def derivative(self, t: float) -> np.ndarray:
+    def derivative(self, t) -> np.ndarray:
         if self._derivative is None:
             raise CapabilityError(f"input signal of kind '{self.kind}' has no derivative")
-        return np.asarray(self._derivative(t), dtype=float).reshape(self.dim)
-
-    @property
-    def differentiable(self) -> bool:
-        return self._derivative is not None
+        return self._eval(self._derivative, t)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """Signal evaluated at an array of times, shape (len(ts), dim)."""
-        return np.stack([self.value(t) for t in np.asarray(ts, dtype=float)])
+        return self.value(np.ravel(ts))
 
-    def sup_norm(self, ts: np.ndarray) -> float:
-        """sup over the sampled times of ||u(t)||_2 (cacheable by the caller)."""
-        return float(np.sqrt((self.values(ts) ** 2).sum(axis=1)).max())
-
-    def check_in_box(self, ts: np.ndarray) -> bool:
-        if self.box is None:
-            return True
-        lo, hi = self.box
-        vals = self.values(ts)
-        return bool(np.all(vals >= lo) and np.all(vals <= hi))
+    def _eval(self, fn, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if t.ndim > 1:
+            raise InputError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
+        res = np.asarray(fn(t.reshape(-1, 1)), dtype=float)
+        try:
+            out = np.broadcast_to(res, (t.size, self.dim)).copy()
+        except ValueError:
+            raise InputError(
+                f"input signal of kind '{self.kind}' returned shape {res.shape} for {t.size} "
+                f"times; expected {(t.size, self.dim)}: it must broadcast over a column of times"
+            ) from None
+        return out if t.ndim else out[0]
 
     @staticmethod
-    def constant(value, box=None) -> "InputSignal":
+    def constant(value) -> "InputSignal":
         v = np.atleast_1d(np.asarray(value, dtype=float))
         zero = np.zeros_like(v)
-        return InputSignal("constant", v.shape[0], lambda t: v, lambda t: zero, box=box)
+        return InputSignal("constant", v.shape[0], lambda t: v, lambda t: zero)
 
     @staticmethod
-    def sinusoid(amplitude, omega=1.0, phase=0.0, offset=None, box=None) -> "InputSignal":
+    def sinusoid(amplitude, omega=1.0, phase=0.0, offset=None) -> "InputSignal":
         """u(t) = offset + amplitude * sin(omega t + phase), componentwise."""
         amp = np.atleast_1d(np.asarray(amplitude, dtype=float))
         off = np.zeros_like(amp) if offset is None else np.atleast_1d(np.asarray(offset, dtype=float))
-
-        def val(t):
-            return off + amp * np.sin(omega * t + phase)
-
-        def der(t):
-            return amp * omega * np.cos(omega * t + phase)
-
-        return InputSignal("sinusoid", amp.shape[0], val, der, box=box)
+        return InputSignal("sinusoid", amp.shape[0],
+                           lambda t: off + amp * np.sin(omega * t + phase),
+                           lambda t: amp * omega * np.cos(omega * t + phase))
 
     @staticmethod
-    def piecewise_linear(times, values, box=None) -> "InputSignal":
+    def piecewise_linear(times, values) -> "InputSignal":
         ts = np.asarray(times, dtype=float)
         vals = np.atleast_2d(np.asarray(values, dtype=float))
         if vals.shape[0] != ts.shape[0]:
             raise InputError("piecewise-linear signal needs one value row per knot")
         if ts.shape[0] < 2 or np.any(np.diff(ts) <= 0):
             raise InputError("knot times must be strictly increasing, at least two")
-        dim = vals.shape[1]
         slopes = np.diff(vals, axis=0) / np.diff(ts)[:, None]
 
         def seg(t):
-            i = int(np.searchsorted(ts, t, side="right")) - 1
-            return min(max(i, 0), ts.shape[0] - 2)
+            return np.clip(np.searchsorted(ts, t[:, 0], side="right") - 1, 0, ts.shape[0] - 2)
 
         def val(t):
             i = seg(t)
-            return vals[i] + slopes[i] * (t - ts[i])
+            return vals[i] + slopes[i] * (t - ts[i, None])
 
         def der(t):
             return slopes[seg(t)]
 
-        return InputSignal("piecewise_linear", dim, val, der, box=box)
+        return InputSignal("piecewise_linear", vals.shape[1], val, der)
 
     @staticmethod
-    def from_callable(value_fn, dim, derivative_fn=None, box=None) -> "InputSignal":
-        return InputSignal("callable", dim, value_fn, derivative_fn, box=box)
+    def from_callable(value_fn, dim, derivative_fn=None) -> "InputSignal":
+        return InputSignal("callable", dim, value_fn, derivative_fn)
+
+
+def _row_norm_sq(D: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each row of an (N, m) array, rounded as ``v @ v``
+    rounds each row v; einsum and sum reductions round differently once
+    m >= 2."""
+    D = np.atleast_2d(D)
+    return np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -340,23 +344,18 @@ class EquilibriumMap:
     block maps to (N, n) equilibria), as ``SystemSpec.drift`` must; the
     ensemble estimators evaluate it on whole blocks. ``hessians(u)`` returns
     one m x m matrix per output component; it is optional and only needed
-    for the Ito drift-correction constants.
+    for the Ito drift-correction constants, which otherwise take finite
+    differences of ``x_star``.
     """
 
-    def __init__(self, x_star, jacobian=None, hessians=None, state_dim=None, input_dim=None):
+    def __init__(self, x_star, hessians=None, state_dim=None, input_dim=None):
         self._x_star = x_star
-        self._jacobian = jacobian
         self._hessians = hessians
         self.state_dim = state_dim
         self.input_dim = input_dim
 
     def x_star(self, u):
         return np.asarray(self._x_star(np.asarray(u, dtype=float)), dtype=float)
-
-    def jacobian(self, u):
-        if self._jacobian is not None:
-            return np.asarray(self._jacobian(np.asarray(u, dtype=float)), dtype=float)
-        return _fd_jacobian(self._x_star, np.asarray(u, dtype=float))
 
     @property
     def has_hessians(self) -> bool:
@@ -369,27 +368,14 @@ class EquilibriumMap:
 
     @staticmethod
     def affine(M, b=None) -> "EquilibriumMap":
-        """x_star(u) = M u + b; Jacobian constant, Hessians zero."""
+        """x_star(u) = M u + b; Hessians zero."""
         M = np.atleast_2d(np.asarray(M, dtype=float))
         n, m = M.shape
         bvec = np.zeros(n) if b is None else np.asarray(b, dtype=float).reshape(n)
         zeros = [np.zeros((m, m)) for _ in range(n)]
         return EquilibriumMap(
             x_star=lambda u: u @ M.T + bvec,
-            jacobian=lambda u: M,
             hessians=lambda u: zeros,
             state_dim=n,
             input_dim=m,
         )
-
-
-def _fd_jacobian(f, u, h=1e-6):
-    u = np.asarray(u, dtype=float)
-    f0 = np.atleast_1d(np.asarray(f(u), dtype=float))
-    J = np.empty((f0.shape[0], u.shape[0]))
-    for j in range(u.shape[0]):
-        e = np.zeros_like(u)
-        e[j] = h
-        J[:, j] = (np.atleast_1d(f(u + e)) - np.atleast_1d(f(u - e))) / (2.0 * h)
-    return J
-

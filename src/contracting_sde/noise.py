@@ -85,7 +85,7 @@ class JDParams:
         if np.any(a <= 0):
             raise InputError("JD upper bounds a must be positive")
         object.__setattr__(self, "a", a)
-        res = feller_check(self, list(self.feller_t_samples))
+        res = feller_check(self, self.feller_t_samples)
         object.__setattr__(self, "feller_holds", res["holds"])
         object.__setattr__(self, "feller_margin", res["margin"])
 
@@ -101,16 +101,11 @@ def feller_check(p: JDParams, t_samples) -> dict:
     sampled time, plus sigma_u^2 < c whenever sigma_u > 0. Returns the
     minimum slack as ``margin`` (negative iff the check fails).
     """
-    t_samples = list(t_samples)
-    if not t_samples:
+    th = p.theta.values(t_samples)
+    if th.shape[0] == 0:
         raise InputError("t_samples must be nonempty")
     ratio = p.sigma_u**2 / (2.0 * p.c)
-    margin = math.inf
-    for t in t_samples:
-        th = p.theta.value(t)
-        lower_slack = float((th - ratio * p.a).min())
-        upper_slack = float(((1.0 - ratio) * p.a - th).min())
-        margin = min(margin, lower_slack, upper_slack)
+    margin = float(min((th - ratio * p.a).min(), ((1.0 - ratio) * p.a - th).min()))
     if p.sigma_u > 0:
         margin = min(margin, p.c - p.sigma_u**2)
     return {"holds": margin >= 0.0, "margin": margin}

@@ -13,8 +13,6 @@ object and from the system's certificate.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -31,6 +29,7 @@ from .core import (
     InputSignal,
     SystemSpec,
     TimeGrid,
+    _row_norm_sq,
     affine_system,
     scalar_tracker,
     validate_metric,
@@ -251,13 +250,6 @@ def _tail_max(values: np.ndarray, steps: int) -> float:
     return float(values[start:].max())
 
 
-def _signal_sq_fn(fn_of_t):
-    def g(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.array([float(v @ v) for v in (fn_of_t(t) for t in ts)])
-    return g
-
-
 def _moment_scenario(cfg: ScenarioConfig, grid: TimeGrid, sys: SystemSpec):
     """The scenario a moment run simulates, with its equilibrium map: a
     PairScenario and None, or a CascadeScenario and its map. ``track_didc``
@@ -296,11 +288,11 @@ def _bound_params(kind: str, sc, eq) -> bnd.BoundParams:
     cert = sys.certificate
     kwargs = dict(c=cert.c_hat, ell=cert.ell_hat, sigma_x_sq=cert.sigma_x_sq_hat)
     if eq is None:
-        gap = _signal_sq_fn(lambda t: sc.u_x.value(t) - sc.u_y.value(t))
+        gap = lambda ts: _row_norm_sq(sc.u_x.value(ts) - sc.u_y.value(ts))
         return bnd.BoundParams(
             **kwargs, E0=sys.metric.norm_sq(np.atleast_1d(sc.x0 - sc.y0)),
             input_gap_sq=gap, input_gap_sq_limsup=_tail_max(gap(times), grid.steps))
-    tdot = _signal_sq_fn(sc.theta.derivative)
+    tdot = lambda ts: _row_norm_sq(sc.theta.derivative(ts))
     kwargs.update(theta_dot_sq=tdot, theta_dot_sq_limsup=_tail_max(tdot(times), grid.steps))
     # h_ou = h_jd = 0: affine equilibrium maps have zero curvature
     th0 = sc.theta.value(grid.t0)
@@ -316,20 +308,13 @@ def _bound_params(kind: str, sc, eq) -> bnd.BoundParams:
     return bnd.BoundParams(**kwargs, E0=E0)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _write_csv(paths, header, rows):
-    """Format the CSV text once and write it to each of ``paths``."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v
-                    for v in row])
+def _write_csv(paths, header, cols):
+    """Format the CSV text of the equal-length columns ``cols`` once, each
+    value as its shortest round-trip repr, and write it to each of ``paths``."""
+    rows = np.column_stack(cols).tolist()
+    text = "\n".join([",".join(header), *(",".join(map(repr, r)) for r in rows)]) + "\n"
     for path in paths:
-        path.write_text(buf.getvalue(), encoding="utf-8", newline="")
+        path.write_text(text, encoding="utf-8", newline="")
 
 
 def resolve_output_dir(cfg: ScenarioConfig, override: Optional[str], stem: str) -> Path:
@@ -340,16 +325,19 @@ def resolve_output_dir(cfg: ScenarioConfig, override: Optional[str], stem: str) 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path, dry_run: bool = False) -> Verdict:
     """Execute one scenario and write its report bundle into out_dir.
 
-    The bundle is written into a temporary directory beside out_dir, and
-    its files are moved into out_dir only once the run has succeeded: a
-    failed run leaves out_dir as it was, and creates it only on success.
+    The bundle is written into a temporary directory beside out_dir, which
+    replaces the whole of out_dir only once the run has succeeded: a failed
+    run leaves out_dir as it was, and a successful one leaves no file of an
+    earlier bundle behind.
     """
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as tmp:
-        verdict = _run_scenario_inner(cfg, Path(tmp), dry_run)
-        out_dir.mkdir(exist_ok=True)
-        for path in Path(tmp).iterdir():
-            os.replace(path, out_dir / path.name)
+        bundle = Path(tmp) / "bundle"
+        bundle.mkdir()
+        verdict = _run_scenario_inner(cfg, bundle, dry_run)
+        if out_dir.exists():
+            out_dir.rename(Path(tmp) / "old")  # removed with the temporary directory
+        bundle.rename(out_dir)
     return verdict
 
 
@@ -402,11 +390,11 @@ def _run_moments(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, sys) -> Ver
     verdict = compare_to_bound(series, bound_opt if opt else bound_fixed)
 
     header = ["t", "mean_sq", "std_err", "bound_fixed_alpha", "bound_opt_alpha"]
-    rows = zip(times, series.mean_sq, series.std_err, bound_fixed, bound_opt)
-    _write_csv([out_dir / "moments.csv", out_dir / "plotdata.csv"], header, rows)
-    env_rows = [(t, a_fixed, b) for t, b in zip(times, bound_fixed)]
-    env_rows += [(t, a_opt, b) for t, b in zip(times, bound_opt)]
-    _write_csv([out_dir / "envelope.csv"], ["t", "alpha", "bound"], env_rows)
+    cols = (times, series.mean_sq, series.std_err, bound_fixed, bound_opt)
+    _write_csv([out_dir / "moments.csv", out_dir / "plotdata.csv"], header, cols)
+    _write_csv([out_dir / "envelope.csv"], ["t", "alpha", "bound"], (
+        np.concatenate([times, times]), np.repeat([a_fixed, a_opt], len(times)),
+        np.concatenate([bound_fixed, bound_opt])))
     _write_verdict(out_dir, cfg, verdict, extra={
         "alpha_fixed": a_fixed, "alpha_optimized": a_opt,
     })
@@ -434,7 +422,7 @@ def _run_wasserstein(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, sys) ->
     times, w_emp, env = wasserstein_series(sc, p, seed, n_workers=workers)
     verdict = _wasserstein_verdict(times, w_emp, env, k)
     _write_csv([out_dir / "wasserstein.csv", out_dir / "plotdata.csv"],
-               ["t", "w_p_empirical", "envelope"], zip(times, w_emp, env))
+               ["t", "w_p_empirical", "envelope"], (times, w_emp, env))
     _write_verdict(out_dir, cfg, verdict, extra={"p": d["p"], "k": k})
     return verdict
 
@@ -472,7 +460,7 @@ def _run_gibbs(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, potential) ->
     holds = res["ks_stat"] <= crit
     density = gibbs_density(f, sigma, grid1d)
     _write_csv([out_dir / "gibbs.csv", out_dir / "plotdata.csv"], ["x", "density_model"],
-               zip(grid1d, density))
+               (grid1d, density))
     verdict = Verdict(holds=bool(holds),
                       worst_margin=float(crit - res["ks_stat"]) / crit,
                       worst_t=grid.horizon,

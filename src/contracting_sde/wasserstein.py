@@ -20,7 +20,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .bounds import decay_convolution
-from .core import InputSignal, Metric, SystemSpec, TimeGrid
+from .core import InputSignal, Metric, SystemSpec, TimeGrid, _row_norm_sq
 from .errors import CapabilityError, CapacityError, DomainError, InputError
 from .integrate import CouplingMode, _blocks, _check_pair, _run_chunks
 from .montecarlo import Verdict
@@ -191,7 +191,7 @@ def wasserstein_series(
     if checkpoints is None:
         idx = np.unique(np.linspace(0, grid.steps, 21).astype(int))
     else:
-        idx = np.unique([int(round((t - grid.t0) / grid.dt)) for t in checkpoints])
+        idx = np.unique(np.rint((np.asarray(checkpoints) - grid.t0) / grid.dt).astype(int))
         if np.any(idx < 0) or np.any(idx > grid.steps):
             raise InputError("checkpoint outside the time grid")
     ux_path = sc.u_x.values(times)
@@ -214,9 +214,7 @@ def wasserstein_series(
     clouds_y = np.concatenate([py for _, py in parts], axis=1)
 
     c, ell = sc.sys_x.certificate.c_hat, sc.sys_x.certificate.ell_hat
-    gap = lambda ts: np.array([
-        float(np.linalg.norm(sc.u_x.value(t) - sc.u_y.value(t))) for t in np.atleast_1d(ts)
-    ])
+    gap = lambda ts: np.sqrt(_row_norm_sq(sc.u_x.value(ts) - sc.u_y.value(ts)))
     w_emp = np.array([
         _cloud_distance(clouds_x[a], clouds_y[a], p, norm) for a in range(idx.shape[0])
     ])
@@ -263,11 +261,12 @@ def _wasserstein_verdict(times, w_emp, env, k: int) -> Verdict:
 
 
 def gibbs_density(f, sigma: float, grid1d: np.ndarray) -> np.ndarray:
-    """Normalized stationary density proportional to e^{-2 f(x) / sigma^2}."""
+    """Normalized stationary density proportional to e^{-2 f(x) / sigma^2};
+    the potential ``f`` is called once, on the whole grid."""
     xs = np.asarray(grid1d, dtype=float)
     if xs.ndim != 1 or xs.shape[0] < 3:
         raise InputError("grid must be one-dimensional with >= 3 points")
-    logw = np.array([-2.0 * float(f(x)) / sigma**2 for x in xs])
+    logw = -2.0 * np.broadcast_to(f(xs), xs.shape) / sigma**2
     logw -= logw.max()  # stabilize before exponentiating
     w = np.exp(logw)
     Z = (np.diff(xs) * (w[1:] + w[:-1]) / 2.0).sum()  # trapezoid rule
@@ -282,10 +281,11 @@ def stationarity_residual(f, grad_f, sigma: float, grid1d: np.ndarray) -> float:
     For drift -grad f the stationary density satisfies
     d/dx(mu* f') + (sigma^2/2) mu*'' = 0 exactly; central differences leave
     an O(h^2) residual, so refinement should shrink it quadratically.
+    ``f`` and ``grad_f`` are called once, on the whole grid.
     """
     xs = np.asarray(grid1d, dtype=float)
     mu = gibbs_density(f, sigma, xs)
-    flux = mu * np.array([float(grad_f(x)) for x in xs])
+    flux = mu * np.broadcast_to(grad_f(xs), xs.shape)
     term1 = np.gradient(flux, xs)
     term2 = 0.5 * sigma**2 * np.gradient(np.gradient(mu, xs), xs)
     interior = slice(2, -2)  # one-sided boundary stencils are only O(h)

@@ -4,9 +4,17 @@ front end (exit codes, overrides, reproducibility of written artifacts)."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from contracting_sde import CertificationError, ConfigError, parse_config, run_scenario
+from contracting_sde import (
+    CertificationError,
+    ConfigError,
+    InputSignal,
+    TimeGrid,
+    parse_config,
+    run_scenario,
+)
 from contracting_sde.cli import EXIT_ERROR, EXIT_FAILS, EXIT_HOLDS, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -238,6 +246,15 @@ class TestRunCommand:
         assert code == EXIT_ERROR
         assert "config error:" in capsys.readouterr().err
 
+    def test_usage_error_exits_one(self, capsys):
+        # 2 means "the verdict fails"; a bad command line is an error
+        assert main(["run"]) == EXIT_ERROR
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["run", "--help"]) == EXIT_HOLDS
+        assert "--alpha" in capsys.readouterr().out
+
 
 class TestCertifyCommand:
     def test_prints_certificate_json(self, tmp_path, capsys):
@@ -375,6 +392,67 @@ class TestRunScenarioApi:
         assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle"]
 
+    def test_rerun_of_another_kind_leaves_only_its_files(self, tmp_path):
+        bundle = tmp_path / "bundle"
+        run_scenario(parse_config(json.dumps(_tiny_run_config())), bundle)
+        assert (bundle / "moments.csv").is_file()
+        run_scenario(parse_config(json.dumps(_tiny_wasserstein())), bundle)
+        assert sorted(p.name for p in bundle.iterdir()) == [
+            "certificate.json", "plotdata.csv", "verdict.json", "wasserstein.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle"]
+
+    def test_signal_closures_are_called_on_the_whole_grid(self, tmp_path, monkeypatch):
+        # a per-time loop would call theta's derivative once per grid time
+        # and Simpson node: 30 003 calls on this 10 000-step grid
+        import contracting_sde.scenarios as scenarios_mod
+
+        build = scenarios_mod._build_signal
+        calls = []
+
+        def counted(spec):
+            sig = build(spec)
+
+            def derivative(t):
+                calls.append(np.size(t))
+                return sig.derivative(np.reshape(t, -1))
+
+            return InputSignal.from_callable(
+                lambda t: sig.value(np.reshape(t, -1)), sig.dim, derivative)
+
+        monkeypatch.setattr(scenarios_mod, "_build_signal", counted)
+        data = json.loads((CONFIG_DIR / "track_ou_sidc.json").read_text(encoding="utf-8"))
+        data["n_paths"] = 100
+        assert data["grid"]["steps"] == 10_000
+        assert run_scenario(parse_config(json.dumps(data)), tmp_path / "bundle").holds
+        assert 0 < len(calls) <= 5
+
+    def test_two_input_gap_and_theta_dot_round_as_row_dot_products(self):
+        # batched norms (einsum, sum, norm(axis=1)) round differently from
+        # the per-row v @ v once m >= 2
+        from contracting_sde.scenarios import _bound_params, _build_system, _moment_scenario
+
+        def bound_params(cfg):
+            cfg = parse_config(json.dumps(cfg))
+            sc, eq = _moment_scenario(cfg, TimeGrid(0.0, 0.01, 500), _build_system(cfg.data["system"]))
+            return sc, _bound_params(cfg.kind, sc, eq)
+
+        ts = np.linspace(0.0, 5.0, 2001)
+        system = {"A": [[-1.0, 0.3], [0.0, -1.5]], "B": [[1.0, 0.2], [0.1, 1.0]],
+                  "Sigma": [[0.3, 0.0], [0.1, 0.2]]}
+        sc, params = bound_params(_minimal_niss_pair(
+            system=system, x0=[0.0, 0.0], y0=[0.0, 0.0],
+            input_x={"kind": "sinusoid", "amplitude": [0.7, 1.1], "omega": 2.3, "phase": 0.4},
+            input_y={"kind": "piecewise_linear", "times": [0.0, 1.3, 2.0],
+                     "values": [[0.0, 1.0], [1.3, -0.4], [0.2, 0.9]]}))
+        rows = [sc.u_x.value(t) - sc.u_y.value(t) for t in ts]
+        assert np.array_equal(params.input_gap_sq(ts), [v @ v for v in rows])
+        sc, params = bound_params({
+            "scenario_kind": "track_didc", "system": system, "x0": [0.0, 0.0],
+            "theta": {"kind": "sinusoid", "amplitude": [0.7, 1.1], "omega": 2.3},
+            "eq_map": {"M": [[1.0, 0.0], [0.0, 1.0]]}})
+        rows = [sc.theta.derivative(t) for t in ts]
+        assert np.array_equal(params.theta_dot_sq(ts), [v @ v for v in rows])
+
 
 class TestCheckedBeforeSimulating:
     @pytest.mark.parametrize("alpha", ["foo", 1.5, 0.0, True])
@@ -398,4 +476,12 @@ class TestCheckedBeforeSimulating:
         code = main(["run", config, "--alpha", "1.5", "--out", str(tmp_path / "out")])
         assert code == EXIT_ERROR
         assert "config error: 'alpha_policy'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "tiny").exists()
+
+    def test_non_numeric_alpha_override_is_a_config_error(self, tmp_path, capsys):
+        config = _write(tmp_path, "tiny.json", _tiny_run_config())
+        code = main(["run", config, "--alpha", "foo", "--out", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert "config error: 'alpha_policy' must be \"opt\" or lie in (0, 1), got 'foo'" \
+            in capsys.readouterr().err
         assert not (tmp_path / "out" / "tiny").exists()

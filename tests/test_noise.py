@@ -212,6 +212,14 @@ class TestFellerCheck:
         with pytest.raises(InputError):
             feller_check(p, [])
 
+    def test_many_samples_equal_the_scalar_checks(self):
+        theta = InputSignal.sinusoid([0.2], omega=3.0, offset=[0.5])
+        p = JDParams(c=2.0, theta=theta, sigma_u=0.9, a=[1.0])
+        ts = np.linspace(0.0, 10.0, 1001)
+        margins = [feller_check(p, [t])["margin"] for t in ts]
+        assert feller_check(p, ts)["margin"] == min(margins)
+        assert min(margins) < max(margins)  # the samples do not all tie
+
     def test_theta_outside_band_fails(self):
         p = JDParams(c=1.0, theta=_const_theta(0.9), sigma_u=math.sqrt(0.5), a=[1.0])
         assert not feller_check(p, [0.0])["holds"]
