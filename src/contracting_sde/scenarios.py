@@ -19,7 +19,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -322,7 +322,8 @@ def resolve_output_dir(cfg: ScenarioConfig, override: Optional[str], stem: str) 
     return Path(base) / stem
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: Path, dry_run: bool = False) -> Verdict:
+def run_scenario(cfg: ScenarioConfig, out_dir: Union[str, os.PathLike],
+                 dry_run: bool = False) -> Verdict:
     """Execute one scenario and write its report bundle into out_dir.
 
     The bundle is written into a temporary directory beside out_dir, which
@@ -330,6 +331,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path, dry_run: bool = False) -> V
     run leaves out_dir as it was, and a successful one leaves no file of an
     earlier bundle behind.
     """
+    out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as tmp:
         bundle = Path(tmp) / "bundle"
@@ -419,7 +421,7 @@ def _run_wasserstein(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, sys) ->
     )
     p = math.inf if d["p"] in ("inf", math.inf) else float(d["p"])
     workers = int(d["n_workers"])
-    times, w_emp, env = wasserstein_series(sc, p, seed, n_workers=workers)
+    times, w_emp, env = wasserstein_series(sc, p, seed, norm=sys.metric, n_workers=workers)
     verdict = _wasserstein_verdict(times, w_emp, env, k)
     _write_csv([out_dir / "wasserstein.csv", out_dir / "plotdata.csv"],
                ["t", "w_p_empirical", "envelope"], (times, w_emp, env))

@@ -304,6 +304,17 @@ class TestRunScenarioApi:
         assert verdict.holds
         assert (tmp_path / "bundle" / "plotdata.csv").is_file()
 
+    def test_out_dir_may_be_a_str_or_path_like(self, tmp_path):
+        class Where:  # an os.PathLike that is not a Path
+            def __fspath__(self):
+                return str(tmp_path / "pathlike" / "bundle")
+
+        cfg = parse_config(json.dumps(_tiny_run_config()))
+        for out_dir, bundle in ((str(tmp_path / "str" / "bundle"), tmp_path / "str" / "bundle"),
+                                (Where(), tmp_path / "pathlike" / "bundle")):
+            assert run_scenario(cfg, out_dir).holds
+            assert (bundle / "verdict.json").is_file()
+
     @pytest.mark.parametrize("policy", ["opt", 0.5, 0.3])
     def test_verdict_judged_on_a_written_bound(self, tmp_path, monkeypatch, policy):
         # the envelope is evaluated over the grid once per written column:

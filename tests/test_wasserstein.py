@@ -7,15 +7,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse.csgraph
 
 from contracting_sde import (
     CapabilityError,
     CapacityError,
     Certificate,
+    CouplingMode,
     DomainError,
     EmpiricalMeasure,
     InputError,
     InputSignal,
+    RngLineage,
     SystemSpec,
     TimeGrid,
     WassersteinScenario,
@@ -23,6 +27,7 @@ from contracting_sde import (
     gibbs_check,
     gibbs_density,
     identity_metric,
+    integrate_pair,
     parse_config,
     run_scenario,
     stationarity_residual,
@@ -33,6 +38,7 @@ from contracting_sde import (
     wasserstein_envelope,
     wasserstein_series,
 )
+from contracting_sde.wasserstein import _bottleneck_assignment
 
 
 class TestWasserstein1d:
@@ -126,6 +132,96 @@ class TestWassersteinAssignment:
             EmpiricalMeasure([[1.0]])
         with pytest.raises(InputError):
             EmpiricalMeasure([[1.0], [math.nan]])
+
+
+def _lsa_bottleneck(D):
+    """Reference bottleneck value: bisect the sorted distinct entries of D,
+    testing each threshold tau with a linear assignment on the 0/1 cost
+    D > tau (a perfect matching inside {D <= tau} exists iff its cost is 0)."""
+    vals = np.unique(D)
+    lo, hi = 0, len(vals) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cost = (D > vals[mid]).astype(float)
+        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        if cost[rows, cols].sum() == 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(vals[lo])
+
+
+def _euclidean(X, Y):
+    return np.sqrt(((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2))
+
+
+def _row_col_bound(D):
+    return max(D.min(axis=1).max(), D.min(axis=0).max())
+
+
+class TestBottleneckOracle:
+    @pytest.mark.parametrize("k", [2, 3, 5, 6, 7])  # k = 4: TestWassersteinAssignment
+    def test_matches_brute_force(self, k):
+        rng = np.random.default_rng(10 + k)
+        perms = np.array(list(itertools.permutations(range(k))))
+        for _ in range(5):
+            D = _euclidean(rng.standard_normal((k, 2)), rng.standard_normal((k, 2)) + 1.0)
+            best = D[np.arange(k), perms].max(axis=1).min()
+            assert _bottleneck_assignment(D) == best
+
+    @pytest.mark.parametrize("k", [8, 64, 200])
+    @pytest.mark.parametrize("offset", [0.0, 4.0])
+    def test_matches_assignment_reference(self, k, offset):
+        rng = np.random.default_rng(k)
+        X = rng.standard_normal((k, 2))
+        Y = rng.standard_normal((k, 2)) + [0.0, offset]
+        D = _euclidean(X, Y)
+        reference = _lsa_bottleneck(D)
+        assert _bottleneck_assignment(D) == reference
+        got = wasserstein_assignment(EmpiricalMeasure(X), EmpiricalMeasure(Y), math.inf)
+        assert got == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [8, 64, 200])
+    def test_integer_grid_ties(self, k):
+        # l1 distances between points of a small integer grid: few distinct
+        # values, each shared by many pairs
+        rng = np.random.default_rng(100 + k)
+        X = rng.integers(0, 6, (k, 2)).astype(float)
+        Y = rng.integers(0, 6, (k, 2)).astype(float) + [0.0, 2.0]
+        D = np.abs(X[:, None, :] - Y[None, :, :]).sum(axis=2)
+        assert len(np.unique(D)) < 20
+        assert _bottleneck_assignment(D) == _lsa_bottleneck(D)
+
+    @pytest.mark.parametrize("k", [8, 64, 200])
+    def test_identical_clouds_give_zero(self, k):
+        X = np.random.default_rng(200 + k).standard_normal((k, 2))
+        assert _bottleneck_assignment(_euclidean(X, X[::-1].copy())) == 0.0
+
+    @pytest.mark.parametrize("k", [8, 64, 200])
+    def test_answer_at_the_row_column_bound(self, k):
+        # one far outlier must take its nearest partner; everything else
+        # matches closer, so the answer is that outlier's row minimum
+        rng = np.random.default_rng(300 + k)
+        X = rng.standard_normal((k, 2))
+        X[0] = [60.0, 0.0]
+        D = _euclidean(X, rng.standard_normal((k, 2)))
+        assert _bottleneck_assignment(D) == _lsa_bottleneck(D) == _row_col_bound(D)
+
+    @pytest.mark.parametrize("k", [8, 64, 200])
+    def test_matching_calls_bounded_by_the_bracket(self, k, monkeypatch):
+        calls = []
+        matching = scipy.sparse.csgraph.maximum_bipartite_matching
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return matching(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "maximum_bipartite_matching", counted)
+        rng = np.random.default_rng(400 + k)
+        D = _euclidean(rng.standard_normal((k, 2)), rng.standard_normal((k, 2)) + 4.0)
+        bracket = np.unique(D[D >= _row_col_bound(D)]).size
+        assert _bottleneck_assignment(D) == _lsa_bottleneck(D)
+        assert 0 < len(calls) <= math.ceil(math.log2(bracket)) + 1
 
 
 class TestMetricProperties:
@@ -278,6 +374,71 @@ class TestWassersteinSeries:
         }))
         assert run_scenario(cfg, tmp_path / "bundle").holds
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [2, "inf"])
+    def test_scenario_measures_in_the_certified_metric(self, tmp_path, monkeypatch, p):
+        # A is not contracting in l2 (mu_2(A) = 1) but is in P, where c and
+        # ell are certified; each checkpoint of the bundle is the assignment
+        # distance in P between the clouds that the path pairs reach
+        import contracting_sde.scenarios as scenarios_mod
+
+        A = [[-1.0, 4.0], [0.0, -1.0]]
+        P = [[1.0, 0.5], [0.5, 16.0]]
+        scenarios_seen = []
+
+        def spied(sc, *args, **kwargs):
+            scenarios_seen.append(sc)
+            return wasserstein_series(sc, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios_mod, "wasserstein_series", spied)
+        cfg = parse_config(json.dumps({
+            "scenario_kind": "wasserstein",
+            "system": {"A": A, "B": [[1.0, 0.0], [0.0, 1.0]],
+                       "Sigma": [[0.3, 0.0], [0.1, 0.3]], "P": P},
+            "input_x": {"kind": "constant", "value": [0.5, -0.5]},
+            "input_y": {"kind": "constant", "value": [0.0, 0.0]},
+            "cloud": {"k": 12, "mean_x": [1.0, 1.0], "mean_y": [0.0, 0.0]},
+            "p": p, "grid": {"dt": 0.01, "steps": 60}, "master_seed": 5,
+        }))
+        run_scenario(cfg, tmp_path / "bundle")
+        (sc,) = scenarios_seen
+        metric = sc.sys_x.metric
+        assert np.array_equal(metric.P, P)
+        pairs = [integrate_pair(sc.sys_x, sc.sys_y, sc.x0_samples[i], sc.y0_samples[i],
+                                sc.u_x, sc.u_y, CouplingMode.COMMON, sc.grid, RngLineage(5, i))
+                 for i in range(sc.k)]
+        rows = np.loadtxt(tmp_path / "bundle" / "wasserstein.csv", delimiter=",", skiprows=1)
+        order = math.inf if p == "inf" else p
+        l2_gaps = []
+        for t, w in rows[:, :2]:
+            j = int(round(t / sc.grid.dt))
+            mx = EmpiricalMeasure(np.array([tx.states[j] for tx, _ in pairs]))
+            my = EmpiricalMeasure(np.array([ty.states[j] for _, ty in pairs]))
+            assert w == pytest.approx(wasserstein_assignment(mx, my, order, norm=metric),
+                                      rel=1e-12)
+            l2_gaps.append(abs(w - wasserstein_assignment(mx, my, order)))
+        assert max(l2_gaps) > 0.1  # the l2 distance would read otherwise
+
+    def test_metric_on_a_line_scales_the_sorted_distance(self, monkeypatch):
+        # in 1-D the weighted norm is |L x| with L the Cholesky factor: the
+        # sorted-order formula applies, and no assignment is solved
+        def no_assignment(*args):
+            raise AssertionError("1-D clouds need no assignment solve")
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", no_assignment)
+        rng = np.random.default_rng(8)
+        metric = validate_metric(np.array([[4.0]]))
+        sys = affine_system([[-1.0]], [[1.0]], [[0.5]], metric)
+        sc = WassersteinScenario(
+            sys_x=sys, sys_y=sys, x0_samples=rng.standard_normal((512, 1)) + 2.0,
+            y0_samples=rng.standard_normal((512, 1)),
+            u_x=InputSignal.constant([1.0]), u_y=InputSignal.constant([0.0]),
+            grid=TimeGrid(0.0, 1e-2, 40),
+        )
+        for p in (2, math.inf):
+            _, w_metric, _ = wasserstein_series(sc, p, master_seed=4, norm=metric)
+            _, w_l2, _ = wasserstein_series(sc, p, master_seed=4)
+            np.testing.assert_array_equal(w_metric, 2.0 * w_l2)
 
     def test_cloud_shape_mismatch(self):
         sys = _scalar_ou_system()
