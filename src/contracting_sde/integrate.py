@@ -14,9 +14,11 @@ once per chunk for inputs shared by all paths, or per sub-block for OU
 and Jacobi input noise, whose recursions do not depend on the state and
 are stepped first; and the states are stepped in place, five calls per
 step. Other systems call their drift and dispersion closures per step in
-the same loop. Finiteness is checked once per sub-block: the finite steps
-are handed on, then DivergenceError names the first non-finite step and
-path.
+the same loop. An OU input process run with no system is the OU ensemble
+of ``montecarlo.ou_moment``: its one recursion xi' = decay xi + std z
+takes the exact transition's coefficients or Euler's. Finiteness is
+checked once per sub-block: the finite steps are handed on, then
+DivergenceError names the first non-finite step and path.
 
 The order of operations is that of x + F(x, u) dt + Sigma dB, so in one
 dimension every result is bit-identical to stepping the closures one step
@@ -270,11 +272,12 @@ def _apply(product, a, out):
     f(a, M, out)
 
 
-def _input_process(noise, theta_path, u0, U, grid):
+def _input_process(U, grid, noise, theta_path, u0, coeffs=None):
     """Set U[0] to the inputs at step 0 and return advance(z, k), which
     fills U[1..n] from U[0], the inputs at step k, on the (n, N, m) input
-    normals z: theta_k + xi_k with xi stepped by the exact OU transition
-    from xi_0 = u0, or the Jacobi diffusion (u0 is then u_0) about its own
+    normals z: theta_k + xi_k with xi' = decay xi + std z from xi_0 = u0,
+    where (decay, std) = ``coeffs`` or by default the exact OU
+    transition's; or the Jacobi diffusion (u0 is then u_0) about its own
     ``noise.theta``."""
     dt = grid.dt
     Uv = list(U)
@@ -288,7 +291,7 @@ def _input_process(noise, theta_path, u0, U, grid):
                 np.clip(_jd_proposal(Uv[j], noise, theta[k + j], dt, z[j]), lo, hi, out=Uv[j + 1])
         return advance
 
-    decay, std = _ou_exact_coeffs(noise, dt)
+    decay, std = coeffs or _ou_exact_coeffs(noise, dt)
     XI, tmp = np.empty_like(U), np.empty_like(U[0])
     XIv = list(XI)
     XI[0] = u0
@@ -317,8 +320,10 @@ def _blocks(systems, x0s, rows, grid, master_seed, start, common=False, drive=No
     first the m input normals of ``drive``, then each system's r normals
     (in common mode, one r-block for all). ``rows[i]`` holds the (steps+1,
     m) inputs of system i shared by all paths; ``drive`` = (noise,
-    theta_path, u0) instead feeds the one system the input process of
-    ``_input_process``, started from the (m,) vector u0.
+    theta_path, u0[, coeffs]) instead feeds the one system the input
+    process of ``_input_process``, started from the (m,) vector u0. With
+    no system the input process alone is stepped and checked, and u0 is
+    its (N, m) block of initial states.
 
     Steps run with numpy's overflow and invalid-value warnings off: a
     non-finite state raises DivergenceError once the finite steps before
@@ -333,13 +338,15 @@ def _blocks(systems, x0s, rows, grid, master_seed, start, common=False, drive=No
             c += sys.noise_dim
     steppers = [_Stepper(*a, dt) for a in zip(systems, x0s, rows, cols)]
     views = [s.X for s in steppers]
+    N = len(x0s[0] if systems else drive[2])
     if drive is not None:
-        U = np.empty((_STEP_BLOCK + 1, x0s[0].shape[0], m))
-        advance = _input_process(*drive, U, grid)
+        U = np.empty((_STEP_BLOCK + 1, N, m))
+        advance = _input_process(U, grid, *drive)
         views.append(U)
+    checked = views[:len(steppers)] or views  # the states, or a lone input process
     yield 0, [v[:1] for v in views]
     k = 0
-    for Z in _draws(master_seed, start, x0s[0].shape[0], grid.steps, cols[-1].stop):
+    for Z in _draws(master_seed, start, N, grid.steps, cols[-1].stop if cols else m):
         for j0 in range(0, Z.shape[1], _STEP_BLOCK):
             n = min(_STEP_BLOCK, Z.shape[1] - j0)
             z = Z[:, j0:j0 + n].transpose(1, 0, 2)  # (n, N, width), step-major
@@ -350,7 +357,7 @@ def _blocks(systems, x0s, rows, grid, master_seed, start, common=False, drive=No
                     u = U[:n]
                 for s in steppers:
                     s.step(z, k, u)
-                ok, err = _finite_steps([s.X[1:n + 1] for s in steppers], k + 1, start)
+                ok, err = _finite_steps([v[1:n + 1] for v in checked], k + 1, start)
             if ok:
                 yield k + 1, [v[1:ok + 1] for v in views]
             if err is not None:

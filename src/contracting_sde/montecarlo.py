@@ -6,10 +6,12 @@ ensemble steps through the one batched kernel of ``integrate``, which the
 single-path integrators run on a block of one: sub-blocks of
 ``_STEP_BLOCK`` steps in step-major buffers, where a system given as data
 (``SystemSpec.affine`` with its dispersion matrix) has its noise and input
-terms computed once per sub-block and its states stepped in place. The
-moments of a sub-block are reduced at once: ``Metric.batch_norm_sq`` of
-its (S, N, n) errors, then row sums over contiguous rows, which are the
-same pairwise sums as summing each step alone. Each path's Gaussian
+terms computed once per sub-block and its states stepped in place. OU
+moments run the kernel's OU input process with no system, with the exact
+or the Euler coefficients. All three estimators reduce through one
+reducer: the squared norms of a sub-block's (S, N, n) errors at once,
+then row sums over contiguous rows, which are the same pairwise sums as
+summing each step alone. Each path's Gaussian
 draws come from its own counter-based stream in the same order. In one
 dimension an ensemble path is therefore bit-identical to the single-path
 run of the same lineage and to stepping the drift and dispersion closures
@@ -33,14 +35,12 @@ from .core import EquilibriumMap, InputSignal, SystemSpec, TimeGrid
 from .errors import InputError
 from .integrate import (
     CHUNK_SIZE,  # noqa: F401 - the ensembles' chunk size, importable from here
-    _STEP_BLOCK,
     CouplingMode,
     _block,
     _blocks,
     _cascade_blocks,
     _check_cascade,
     _check_pair,
-    _draws,
     _run_chunks,
 )
 from .noise import JDParams, OUParams, _ou_exact_coeffs
@@ -100,22 +100,30 @@ class CascadeScenario:
     unsafe: bool = False
 
 
-def _moment_block(sq, ps, pq, k):
-    """Write the sum and the sum of squares over the paths of the step-major
-    (S, N) block sq of squared norms at steps k .. k+S-1 into ps and pq.
-    Each step's sums are row sums over contiguous rows, the same pairwise
-    sums as summing that step's (N,) vector alone; sq is overwritten."""
-    ps[k:k + len(sq)] = sq.sum(axis=1)
-    sq *= sq
-    pq[k:k + len(sq)] = sq.sum(axis=1)
+def _moments(grid, n_paths, n_workers, blocks, norm_sq):
+    """MomentSeries of the squared norms over n_paths paths, in chunks.
 
+    ``blocks(start, count)`` yields the (k, views) runs of a chunk (see
+    ``integrate._blocks``) and ``norm_sq(k, views)`` gives their
+    step-major (S, N) squared norms. Each step's sums are row sums over
+    contiguous rows, the same pairwise sums as summing that step's (N,)
+    vector alone; the chunks' sums are merged in chunk order.
+    """
+    if n_paths < 100:
+        raise InputError("n_paths must be >= 100")
 
-def _finalize(grid, partials, n_paths):
-    total = np.zeros(grid.steps + 1)
-    total_sq = np.zeros(grid.steps + 1)
-    for ps, pq in partials:
-        total += ps
-        total_sq += pq
+    def worker(start, count):
+        ps, pq = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
+        for k, views in blocks(start, count):
+            sq = norm_sq(k, views)
+            ps[k:k + len(sq)] = sq.sum(axis=1)
+            sq *= sq
+            pq[k:k + len(sq)] = sq.sum(axis=1)
+        return ps, pq
+
+    partials = _run_chunks(worker, n_paths, n_workers)
+    total = sum(ps for ps, _ in partials)
+    total_sq = sum(pq for _, pq in partials)
     mean = total / n_paths
     # SE of the mean from streamed sums; equals the jackknife SE for a mean
     var = np.clip(total_sq - n_paths * mean**2, 0.0, None) / max(n_paths - 1, 1)
@@ -130,27 +138,19 @@ def pair_error_moment(
     n_workers: int = 1,
 ) -> MomentSeries:
     """Per-time mean and standard error of ||x_t - y_t||_P^2 over the ensemble."""
-    if n_paths < 100:
-        raise InputError("n_paths must be >= 100")
     sc = scenario
     _check_pair(sc.sys_x, sc.sys_y, sc.mode, sc.grid)
-    grid = sc.grid
-    metric = sc.sys_x.metric
-    times = grid.times()
-    ux_path = sc.u_x.values(times)
-    uy_path = sc.u_y.values(times)
+    times = sc.grid.times()
+    rows = [sc.u_x.values(times), sc.u_y.values(times)]
 
-    def worker(start, count):
-        ps, pq = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
-        blocks = _blocks(
-            [sc.sys_x, sc.sys_y],
-            [_block(sc.x0, sc.sys_x.state_dim, count), _block(sc.y0, sc.sys_y.state_dim, count)],
-            [ux_path, uy_path], grid, master_seed, start, common=sc.mode is CouplingMode.COMMON)
-        for k, (x, y) in blocks:
-            _moment_block(metric.batch_norm_sq(x - y), ps, pq, k)
-        return ps, pq
+    def blocks(start, count):
+        return _blocks([sc.sys_x, sc.sys_y],
+                       [_block(sc.x0, sc.sys_x.state_dim, count),
+                        _block(sc.y0, sc.sys_y.state_dim, count)],
+                       rows, sc.grid, master_seed, start, common=sc.mode is CouplingMode.COMMON)
 
-    return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)
+    norm_sq = lambda k, xy: sc.sys_x.metric.batch_norm_sq(xy[0] - xy[1])
+    return _moments(sc.grid, n_paths, n_workers, blocks, norm_sq)
 
 
 def _x_star_batch(eq_map: EquilibriumMap, U: np.ndarray, n: int) -> np.ndarray:
@@ -179,8 +179,6 @@ def tracking_error_moment(
     """
     if target not in ("deterministic_curve", "stochastic_curve"):
         raise InputError(f"unknown target '{target}'")
-    if n_paths < 100:
-        raise InputError("n_paths must be >= 100")
     sc = scenario
     grid, sys, noise = sc.grid, sc.sys, sc.noise
     _check_cascade(noise, sys, sc.xi0, grid, sc.unsafe)
@@ -188,19 +186,19 @@ def tracking_error_moment(
     theta_path = sc.theta.values(grid.times())
     xstar_det = _x_star_batch(eq_map, theta_path, n)  # (steps+1, n)
 
-    def worker(start, count):
-        ps, pq = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
-        blocks = _cascade_blocks(noise, theta_path, sys, _block(sc.x0, n, count),
-                                 _block(sc.xi0, noise.dim)[0], grid, master_seed, start)
-        for k, (x, u) in blocks:
-            if target == "deterministic_curve":
-                e = x - xstar_det[k:k + len(x), None]
-            else:
-                e = x - _x_star_batch(eq_map, u.reshape(-1, noise.dim), n).reshape(x.shape)
-            _moment_block(sys.metric.batch_norm_sq(e), ps, pq, k)
-        return ps, pq
+    def blocks(start, count):
+        return _cascade_blocks(noise, theta_path, sys, _block(sc.x0, n, count),
+                               _block(sc.xi0, noise.dim)[0], grid, master_seed, start)
 
-    return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)
+    def norm_sq(k, xu):
+        x, u = xu
+        if target == "deterministic_curve":
+            e = x - xstar_det[k:k + len(x), None]
+        else:
+            e = x - _x_star_batch(eq_map, u.reshape(-1, noise.dim), n).reshape(x.shape)
+        return sys.metric.batch_norm_sq(e)
+
+    return _moments(grid, n_paths, n_workers, blocks, norm_sq)
 
 
 def ou_moment(
@@ -212,48 +210,27 @@ def ou_moment(
     method: str = "exact",
     n_workers: int = 1,
 ) -> MomentSeries:
-    """E||x_t||_2^2 of the zero-mean OU process, exact-transition or Euler paths."""
+    """E||x_t||_2^2 of the zero-mean OU process, exact-transition or Euler paths.
+
+    Both step x' = decay x + std z through the kernel's input process: the
+    exact transition's coefficients, or Euler's (1 - c dt, sigma sqrt(dt / m)),
+    as Euler-Maruyama on OU is that linear recursion (Higham, SIAM Rev. 43(3),
+    2001).
+    """
     if method not in ("exact", "euler"):
         raise InputError(f"unknown method '{method}'")
-    if n_paths < 100:
-        raise InputError("n_paths must be >= 100")
-    decay, std = _ou_exact_coeffs(p, grid.dt)
-    scale = p.sigma / math.sqrt(p.dim)
-    exact = method == "exact"
+    if method == "exact":
+        coeffs = _ou_exact_coeffs(p, grid.dt)
+    else:
+        coeffs = 1.0 - p.c * grid.dt, p.sigma * math.sqrt(grid.dt / p.dim)
+    theta = np.zeros((grid.steps + 1, p.dim))  # zero mean: 0 + x is x exactly
 
-    def worker(start, count):
-        ps, pq = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
-        # step-major blocks of states and noise terms, small enough to stay
-        # in cache, within each draw block; X[0] holds the last state of the
-        # previous block
-        X = np.empty((_STEP_BLOCK + 1, count, p.dim))
-        W = np.empty((_STEP_BLOCK, count, p.dim))
-        X[0] = _block(x0, p.dim, count)
-        _moment_block(np.einsum("kbi,kbi->kb", X[:1], X[:1]), ps, pq, 0)
-        k0 = 0
-        for Z in _draws(master_seed, start, count, grid.steps, p.dim):
-            for j0 in range(0, Z.shape[1], _STEP_BLOCK):
-                n = min(_STEP_BLOCK, Z.shape[1] - j0)
-                w = W[:n]
-                np.multiply(Z[:, j0:j0 + n].transpose(1, 0, 2), std if exact else scale, out=w)
-                if not exact:
-                    w *= math.sqrt(grid.dt)
-                for j in range(n):
-                    x, nx = X[j], X[j + 1]
-                    if exact:
-                        np.multiply(x, decay, out=nx)
-                    else:  # x - c x dt, without temporaries
-                        np.multiply(x, p.c, out=nx)
-                        nx *= grid.dt
-                        np.subtract(x, nx, out=nx)
-                    nx += w[j]
-                xs = X[1:n + 1]
-                _moment_block(np.einsum("kbi,kbi->kb", xs, xs), ps, pq, k0 + 1)
-                X[0] = X[n]
-                k0 += n
-        return ps, pq
+    def blocks(start, count):
+        drive = (p, theta, _block(x0, p.dim, count), coeffs)
+        return _blocks([], [], [], grid, master_seed, start, drive=drive)
 
-    return _finalize(grid, _run_chunks(worker, n_paths, n_workers), n_paths)
+    norm_sq = lambda k, xs: np.einsum("kbi,kbi->kb", xs[0], xs[0])
+    return _moments(grid, n_paths, n_workers, blocks, norm_sq)
 
 
 def check_envelope(series: MomentSeries, env: Envelope, alpha_policy) -> Verdict:
@@ -263,19 +240,20 @@ def check_envelope(series: MomentSeries, env: Envelope, alpha_policy) -> Verdict
     ``alpha_policy`` is ("fixed", alpha) or "optimized"; the optimized policy
     minimizes the tail form of the envelope (falling back to the final time
     when no tail form exists) and evaluates the resulting alpha everywhere.
+    The envelope is evaluated at the time elapsed since the grid's t0.
     """
     alpha = _resolve_alpha(env, alpha_policy, series.grid)
-    times = series.times()
-    if env.eval_grid is not None and times.shape[0] > 1 and times[0] == 0.0:
-        bound = env.eval_grid(times, alpha)
+    elapsed = series.times() - series.grid.t0
+    if env.eval_grid is not None:
+        bound = env.eval_grid(elapsed, alpha)
     else:
-        bound = np.array([env.eval(t, alpha) for t in times])
+        bound = np.array([env.eval(t, alpha) for t in elapsed])
     return compare_to_bound(series, bound)
 
 
 def _resolve_alpha(env: Envelope, alpha_policy, grid: TimeGrid) -> float:
     if alpha_policy == "optimized":
-        target = "limsup" if env.limsup is not None else grid.t0 + grid.horizon
+        target = "limsup" if env.limsup is not None else grid.horizon
         alpha, _ = optimize_alpha(env, target)
         return alpha
     try:

@@ -421,7 +421,7 @@ def _run_wasserstein(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, sys) ->
     )
     p = math.inf if d["p"] in ("inf", math.inf) else float(d["p"])
     workers = int(d["n_workers"])
-    times, w_emp, env = wasserstein_series(sc, p, seed, norm=sys.metric, n_workers=workers)
+    times, w_emp, env = wasserstein_series(sc, p, seed, n_workers=workers)
     verdict = _wasserstein_verdict(times, w_emp, env, k)
     _write_csv([out_dir / "wasserstein.csv", out_dir / "plotdata.csv"],
                ["t", "w_p_empirical", "envelope"], (times, w_emp, env))

@@ -186,16 +186,19 @@ def wasserstein_series(
     p,
     master_seed: int,
     checkpoints=None,
-    norm="l2",
+    norm=None,
     n_workers: int = 1,
 ):
     """Empirical W_p between the coupled clouds at checkpoint times.
 
     Returns (times, w_empirical, envelope) arrays. Both systems must have
     state-independent dispersion and share the common Brownian source; each
-    path pair i is driven by the stream keyed (master_seed, i).
+    path pair i is driven by the stream keyed (master_seed, i). Distances
+    are measured in ``norm``, by default the first system's metric, in
+    which the envelope's c and ell are certified.
     """
     sc = scenario
+    norm = sc.sys_x.metric if norm is None else norm
     _require_state_independent(sc.sys_x, "first system")
     _require_state_independent(sc.sys_y, "second system")
     grid = sc.grid
@@ -251,7 +254,7 @@ def verify_wasserstein_contraction(
     p,
     master_seed: int,
     checkpoints=None,
-    norm="l2",
+    norm=None,
     n_workers: int = 1,
 ) -> Verdict:
     """Check empirical W_p <= envelope * (1 + 2/sqrt(k)) at every checkpoint."""

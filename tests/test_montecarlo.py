@@ -216,6 +216,39 @@ class TestOuMoment:
             ou_moment(OUParams(c=1.0, sigma=1.0), [0.0], TimeGrid(0.0, 0.1, 10),
                       n_paths=100, master_seed=0, method="milstein")
 
+    @pytest.mark.parametrize("dim, c", [(1, 1.3), (2, 0.7), (2, 0.0)])
+    def test_matches_recursion_on_the_path_streams(self, dim, c):
+        # reference without the kernel: path i draws its (steps, m) normals
+        # from RngLineage(seed, i) and steps x' = decay x + std z
+        p = OUParams(c=c, sigma=0.8, dim=dim)
+        grid = TimeGrid(0.0, 0.02, 150)
+        x0 = np.linspace(1.0, -1.0, dim)
+        n, seed, dt = 300, 17, grid.dt
+        Z = np.stack([RngLineage(seed, i).stream().standard_normal((grid.steps, dim))
+                      for i in range(n)], axis=1)  # (steps, n, m)
+        if c > 0:
+            decay = math.exp(-c * dt)
+            exact = decay, math.sqrt(0.64 / (2.0 * c * dim) * (1.0 - decay**2))
+        else:
+            exact = 1.0, 0.8 * math.sqrt(dt / dim)
+        coeffs = {"exact": exact, "euler": (1.0 - c * dt, 0.8 * math.sqrt(dt / dim))}
+        for method, (decay, std) in coeffs.items():
+            x = np.tile(x0, (n, 1))
+            expect = [np.sum(x * x) / n]
+            for z in Z:
+                x = decay * x + std * z
+                expect.append(np.sum(x * x) / n)
+            series = ou_moment(p, x0, grid, n_paths=n, master_seed=seed, method=method)
+            np.testing.assert_allclose(series.mean_sq, expect, rtol=1e-14, atol=0.0)
+
+    def test_unstable_euler_step_raises(self):
+        # c dt = 3: the Euler factor 1 - c dt = -2 doubles the state each step
+        p = OUParams(c=3.0, sigma=1.0, dim=1)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+            ou_moment(p, [1.0], TimeGrid(0.0, 1.0, 2000), n_paths=100, master_seed=0,
+                      method="euler")
+        assert err.value.step is not None and err.value.path_index is not None
+
 
 class TestVerdicts:
     def _flat_series(self, value, se=0.0, steps=20):
@@ -272,6 +305,29 @@ class TestVerdicts:
         verdict = run_scenario(parse_config(json.dumps(cfg)), tmp_path / "bundle")
         assert verdict.holds
         assert verdict.worst_t == 0.0 and -1e-13 < verdict.worst_margin < 0.0
+
+    @pytest.mark.parametrize("policy", [("fixed", 0.5), "optimized"])
+    def test_verdict_reads_time_since_the_grid_start(self, policy):
+        # one series judged on a grid from t0 = 0 and on the same grid from
+        # t0 = 5: the envelope is a function of the elapsed time
+        import dataclasses
+
+        sys = scalar_tracker(1.0, 0.3)
+        sc = PairScenario(sys_x=sys, sys_y=sys, x0=[2.0], y0=[0.0],
+                          u_x=InputSignal.constant([1.0]), u_y=InputSignal.constant([0.0]),
+                          mode=CouplingMode.INDEPENDENT, grid=TimeGrid(0.0, 0.01, 100))
+        series = pair_error_moment(sc, n_paths=200, master_seed=1)
+        shifted = dataclasses.replace(series, grid=TimeGrid(5.0, 0.01, 100))
+        env = make_envelope("niss_two_traj", BoundParams(c=1.0, ell=1.0, sigma_x_sq=0.09,
+                                                         E0=4.0, input_gap_sq=1.0))
+        # without eval_grid, and without a tail form as well: the optimized
+        # alpha then minimizes the bound at the end of the horizon
+        envs = (env, Envelope(eval=env.eval, limsup=env.limsup), Envelope(eval=env.eval))
+        for e in envs:
+            at_zero, at_five = (check_envelope(s, e, policy) for s in (series, shifted))
+            assert at_zero.holds and at_five.holds
+            assert at_five.worst_margin == pytest.approx(at_zero.worst_margin, rel=1e-9)
+            assert at_five.worst_t == pytest.approx(at_zero.worst_t + 5.0)
 
     def test_compare_to_bound_shape_check(self):
         with pytest.raises(InputError):

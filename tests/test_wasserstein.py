@@ -437,8 +437,11 @@ class TestWassersteinSeries:
         )
         for p in (2, math.inf):
             _, w_metric, _ = wasserstein_series(sc, p, master_seed=4, norm=metric)
-            _, w_l2, _ = wasserstein_series(sc, p, master_seed=4)
+            _, w_l2, _ = wasserstein_series(sc, p, master_seed=4, norm="l2")
             np.testing.assert_array_equal(w_metric, 2.0 * w_l2)
+            # by default distances are measured in the system's metric
+            _, w_default, _ = wasserstein_series(sc, p, master_seed=4)
+            np.testing.assert_array_equal(w_default, w_metric)
 
     def test_cloud_shape_mismatch(self):
         sys = _scalar_ou_system()
