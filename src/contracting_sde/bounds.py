@@ -75,12 +75,6 @@ class BoundParams:
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be nonnegative")
 
-    def theta_dot_sq_fn(self):
-        return _as_fn(self.theta_dot_sq)
-
-    def input_gap_sq_fn(self):
-        return _as_fn(self.input_gap_sq)
-
     def theta_dot_sq_tail(self) -> float:
         if self.theta_dot_sq_limsup is not None:
             return float(self.theta_dot_sq_limsup)

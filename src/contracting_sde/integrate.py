@@ -40,7 +40,7 @@ import numpy as np
 from .core import InputSignal, SystemSpec, TimeGrid
 from .errors import ConfigError, DivergenceError, InputError
 from .noise import (
-    JDParams, OUParams, RngLineage, _jd_bounds, _jd_proposal, _ou_exact_coeffs,
+    JDParams, OUParams, RngLineage, _jd_bounds, _jd_proposal, _ou_exact_coeffs, feller_check,
 )
 
 
@@ -169,16 +169,24 @@ def _check_pair(sys_x: SystemSpec, sys_y: SystemSpec, mode, grid: TimeGrid):
 
 def _check_cascade(noise, sys: SystemSpec, xi0, grid: TimeGrid, unsafe: bool):
     _warn_step_size(sys, grid, stacklevel=4)
+    _check_input_process(noise, sys, xi0, grid, unsafe)
+
+
+def _check_input_process(noise, sys: SystemSpec, xi0, grid: TimeGrid, unsafe: bool):
+    """Raise unless the input noise has the system's input dimension and a
+    Jacobi input starts inside (0, a) and meets the Feller condition at
+    every grid time, or is run unsafe."""
     if noise.dim != sys.input_dim:
         raise InputError("noise dimension does not match system input dimension")
     if isinstance(noise, JDParams):
         u0 = np.asarray(xi0, dtype=float).reshape(noise.dim)
         if np.any(u0 <= 0.0) or np.any(u0 >= noise.a):
             raise ConfigError("JD initial input must lie inside (0, a)")
-        if not (noise.feller_holds or noise.unsafe or unsafe):
+        margin = feller_check(noise, grid.times())["margin"]
+        if margin < 0.0 and not (noise.unsafe or unsafe):
             raise ConfigError(
                 "JD parameters violate the boundary-nonattainment (Feller) "
-                f"condition (margin {noise.feller_margin:.3g}); pass unsafe=True to override"
+                f"condition on the grid (margin {margin:.3g}); pass unsafe=True to override"
             )
 
 

@@ -290,30 +290,28 @@ def compare_to_bound(series: MomentSeries, bound: np.ndarray) -> Verdict:
     )
 
 
-def tail_average(series, fraction: float):
-    """(mean, max) of the series over the final ``fraction`` of the horizon."""
+def _tail(values, steps: int, fraction: float, min_steps: int = 10) -> np.ndarray:
+    """The entries of a per-grid-time array over the final ``fraction`` of
+    the horizon, from step steps - floor(fraction * steps) on: a window of
+    at least ``min_steps`` steps."""
     if not (0.0 < fraction <= 1.0):
         raise InputError("fraction must lie in (0, 1]")
+    start = steps - int(math.floor(fraction * steps))
+    if steps - start < min_steps:
+        raise InputError(f"tail window must contain at least {min_steps} steps")
+    return values[start:]
+
+
+def tail_average(series, fraction: float):
+    """(mean, max) of the series over the final ``fraction`` of the horizon."""
     if isinstance(series, MomentSeries):
-        vals = series.mean_sq
-        steps = series.grid.steps
+        tail = _tail(series.mean_sq, series.grid.steps, fraction)
     else:
         vals = np.asarray(series, dtype=float)
-        steps = vals.shape[0] - 1
-    start = steps - int(math.floor(fraction * steps))
-    if steps - start < 10:
-        raise InputError("tail window must contain at least 10 steps")
-    tail = vals[start:]
+        tail = _tail(vals, vals.shape[0] - 1, fraction)
     return float(tail.mean()), float(tail.max())
 
 
 def tail_standard_error(series: MomentSeries, fraction: float) -> float:
     """Conservative SE for the tail-averaged moment: max SE over the window."""
-    if not (0.0 < fraction <= 1.0):
-        raise InputError("fraction must lie in (0, 1]")
-    steps = series.grid.steps
-    start = steps - int(math.floor(fraction * steps))
-    if steps - start < 10:
-        raise InputError("tail window must contain at least 10 steps")
-    return float(series.std_err[start:].max())
-
+    return float(_tail(series.std_err, series.grid.steps, fraction).max())

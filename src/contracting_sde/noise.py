@@ -63,8 +63,9 @@ class JDParams:
     """d u = -c (u - theta(t)) dt + sigma_u diag(u (a - u))^(1/2) dB on (0, a).
 
     Construction evaluates the boundary-nonattainment condition on
-    ``feller_t_samples``; a failing check flags the parameters unsafe unless
-    ``unsafe=True`` was passed explicitly.
+    ``feller_t_samples`` into ``feller_holds`` and ``feller_margin``. A run
+    checks it at every time of its grid and refuses to start where it fails,
+    unless ``unsafe=True`` was passed explicitly.
     """
 
     c: float

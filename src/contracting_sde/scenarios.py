@@ -6,20 +6,23 @@ and the ensemble size. ``run_scenario`` executes it and writes a report
 bundle (certificate, empirical series, envelope table, verdict, plot data)
 into one directory; the verdict drives the process exit code.
 
-A moment run translates its config once, into the ``PairScenario`` or
-``CascadeScenario`` it simulates; the envelope's inputs are read from that
-object and from the system's certificate.
+One builder, ``_build``, reads a config: each field is read, defaulted and
+checked at one place by a ``_Fields`` reader, which fills a missing field's
+default into the data and rejects every key of an object that nothing read.
+``parse_config`` runs it, so a config that parses also runs; ``run_scenario``
+runs it again on the normalized data and hands the runner what it built.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -34,13 +37,14 @@ from .core import (
     scalar_tracker,
     validate_metric,
 )
-from .errors import ConfigError
-from .integrate import CouplingMode, default_dt
+from .errors import ConfigError, DivergenceError
+from .integrate import CouplingMode, _check_input_process, default_dt
 from .montecarlo import (
     CascadeScenario,
     PairScenario,
     Verdict,
     _resolve_alpha,
+    _tail,
     compare_to_bound,
     pair_error_moment,
     tracking_error_moment,
@@ -56,31 +60,15 @@ from .wasserstein import (
 
 OUTPUT_DIR_ENV = "CONTRACTING_SDE_OUT"
 
-_COMMON_KEYS = {
-    "scenario_kind", "grid", "n_paths", "master_seed", "alpha_policy",
-    "output_dir", "n_workers",
-}
-_PAIR = ("system", "input_x", "input_y")
-_TRACK = ("system", "theta", "x0", "eq_map")
-_KIND_KEYS = {  # kind -> (required keys, optional keys)
-    "niss_pair": ({*_PAIR, "x0", "y0"}, {"coupling"}),
-    "niss_vs_ode": ({*_PAIR, "x0", "y0"}, set()),
-    "track_didc": (set(_TRACK), set()),
-    "track_ou_sidc": ({*_TRACK, "noise"}, {"xi0"}),
-    "track_ou_sisc": ({*_TRACK, "noise"}, {"xi0"}),
-    "track_jd_sidc": ({*_TRACK, "noise"}, {"u0"}),
-    "track_jd_sisc": ({*_TRACK, "noise"}, {"u0"}),
-    "wasserstein": ({*_PAIR, "cloud"}, {"p"}),
-    "gibbs": ({"potential", "sigma"}, set()),
-}
-KINDS = tuple(_KIND_KEYS)
-_OU_NOISE_KEYS = {"c", "sigma"}
-_JD_NOISE_KEYS = {"c", "sigma_u", "a", "theta_is_target", "unsafe"}
+KINDS = ("niss_pair", "niss_vs_ode", "track_didc", "track_ou_sidc", "track_ou_sisc",
+         "track_jd_sidc", "track_jd_sisc", "wasserstein", "gibbs")
 
 # the fixed-alpha column of a moment bundle run under the "opt" policy
 _OPT_FIXED_ALPHA = 0.5
 
 TAIL_FRACTION = 0.2  # window used to operationalize long-run suprema
+
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -95,189 +83,237 @@ class ScenarioConfig:
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a JSON scenario config; fill documented defaults."""
+    """Parse a JSON scenario config and build it; fill every default."""
     try:
-        raw = json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    kind = raw.get("scenario_kind")
+    kind = data.get("scenario_kind")
     if kind is None:
         raise ConfigError("missing required field 'scenario_kind'")
     if kind not in KINDS:
         raise ConfigError(
             f"unknown scenario kind '{kind}'; expected one of {', '.join(KINDS)}"
         )
-    required, optional = _KIND_KEYS[kind]
-    for key in raw:
-        if key not in _COMMON_KEYS | required | optional:
-            raise ConfigError(
-                f"unknown key '{key}' for scenario kind '{kind}'"
-            )
-    for key in required:
-        if key not in raw:
-            raise ConfigError(
-                f"missing required field '{key}' for scenario kind '{kind}'"
-            )
-    data = dict(raw)
-    _validate_noise_fields(kind, data)
-    _fill_defaults(kind, data)
-    _validate_policy_fields(kind, data)
+    _build(kind, data)
     return ScenarioConfig(kind=kind, data=data)
+
+
+class _Fields:
+    """Reader of one object of a config. ``get`` reads a key, filling a
+    missing key's default into the object (a default of None is left out)
+    and converting the value with ``conv``; ``done`` rejects every key that
+    nothing read."""
+
+    def __init__(self, data, kind: str, name: Optional[str] = None):
+        if not isinstance(data, dict):
+            raise ConfigError(f"'{name}' must be an object")
+        self.data, self.kind, self.name, self.read = data, kind, name, set()
+
+    def get(self, key: str, default=_REQUIRED, conv=lambda v: v):
+        self.read.add(key)
+        if key not in self.data:
+            if default is _REQUIRED:
+                field = f"{self.name} field" if self.name else "required field"
+                raise ConfigError(f"missing {field} '{key}' for scenario kind '{self.kind}'")
+            if default is None:
+                return None
+            self.data[key] = default
+        try:
+            return conv(self.data[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid {self.name or 'config'} field '{key}': {exc}") from exc
+
+    def obj(self, key: str, default=_REQUIRED) -> "_Fields":
+        """The reader of the object at ``key``."""
+        return _Fields(self.get(key, default), self.kind, key)
+
+    def done(self):
+        for key in self.data:
+            if key not in self.read:
+                raise ConfigError(
+                    f"{self.name} field '{key}' not valid for scenario kind '{self.kind}'"
+                    if self.name else f"unknown key '{key}' for scenario kind '{self.kind}'")
+
+
+def _vector(n: int):
+    """The conversion of a field to an (n,) float vector."""
+    return lambda v: np.asarray(v, dtype=float).reshape(n)
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _validate_policy_fields(kind: str, data: dict):
-    """Reject an alpha policy or a W_p order that the run would reject only
-    after simulating."""
-    alpha = data["alpha_policy"]
-    if alpha != "opt" and not (_is_number(alpha) and 0.0 < alpha < 1.0):
-        raise ConfigError(f"'alpha_policy' must be \"opt\" or lie in (0, 1), got {alpha!r}")
+@dataclass(frozen=True)
+class _Run:
+    """What one run of a config uses: its grid, the maker of its
+    certificate's text, the scenario it simulates and the run settings."""
+
+    kind: str
+    grid: TimeGrid
+    certificate: Callable[[], str]
+    # a PairScenario or CascadeScenario, a WassersteinScenario, or for
+    # "gibbs" the potential's (f, grad f, curvature) and sigma
+    scenario: object
+    eq: Optional[EquilibriumMap] = None  # a tracking run's equilibrium map
+    seed: int = 0
+    n_paths: int = 0
+    n_workers: int = 1
+    alpha: Union[str, float, None] = None  # a moment run's alpha policy
+    p: Union[str, float, None] = None  # the W_p order as written: a number >= 1 or "inf"
+
+
+def _build(kind: str, data: dict) -> _Run:
+    """Read every field of a config's ``data``, filling each missing
+    default into it, and build what a run of it uses."""
+    top = _Fields(data, kind)
+    top.get("scenario_kind")
+    top.get("output_dir", None)
+    seed = top.get("master_seed", 0, int)
+    if kind == "gibbs":
+        pot = top.obj("potential")
+        potential = _gibbs_potential(pot)
+        c = potential[2]
+    else:
+        sys = _build_system(top.obj("system"))
+        c = sys.certificate.c_hat
+    g = top.obj("grid", {})
+    dt = g.get("dt", default_dt(c), float)
+    steps = g.get("steps", int(round((200.0 / c if kind == "gibbs" else 10.0) / dt)), int)
+    grid = TimeGrid(t0=g.get("t0", 0.0, float), dt=dt, steps=steps)
+    g.done()
+    if kind == "gibbs":
+        sigma = top.get("sigma", conv=float)
+        top.done()
+        certificate = lambda: json.dumps(
+            {"potential": pot.data, "sigma": sigma,
+             "stationary_variance_quadratic": sigma**2 / (2.0 * c)},
+            indent=2, sort_keys=True)
+        return _Run(kind, grid, certificate, (*potential, sigma), seed=seed)
+
+    workers = top.get("n_workers", 1, int)
     if kind == "wasserstein":
-        p = data["p"]
+        n = sys.state_dim
+        cloud = top.obj("cloud")
+        k, std = cloud.get("k", conv=int), cloud.get("std", 1.0, float)
+        x0, y0 = (cloud.get(key, [0.0] * n, _vector(n))
+                  + std * RngLineage(seed, path).stream().standard_normal((k, n))
+                  for key, path in (("mean_x", 1 << 32), ("mean_y", (1 << 32) + 1)))
+        cloud.done()
+        p = top.get("p", 2)
         if p != "inf" and not (_is_number(p) and p >= 1.0):
             raise ConfigError(f"'p' must be a number >= 1 or \"inf\", got {p!r}")
+        sc = WassersteinScenario(
+            sys_x=sys, sys_y=sys, x0_samples=x0, y0_samples=y0,
+            u_x=_signal(top, "input_x", sys), u_y=_signal(top, "input_y", sys), grid=grid)
+        top.done()
+        return _Run(kind, grid, sys.certificate.to_json, sc, seed=seed, n_workers=workers, p=p)
+    n_paths = top.get("n_paths", 10_000, int)
+    alpha = top.get("alpha_policy", "opt")
+    if alpha != "opt" and not (_is_number(alpha) and 0.0 < alpha < 1.0):
+        raise ConfigError(f"'alpha_policy' must be \"opt\" or lie in (0, 1), got {alpha!r}")
+    sc, eq = _moment_scenario(kind, top, sys, grid)
+    top.done()
+    return _Run(kind, grid, sys.certificate.to_json, sc, eq, seed=seed, n_paths=n_paths,
+                n_workers=workers, alpha=alpha)
 
 
-def _validate_noise_fields(kind: str, data: dict):
-    noise = data.get("noise")
-    if noise is None:
-        return
-    if not isinstance(noise, dict):
-        raise ConfigError("'noise' must be an object")
-    if kind.startswith("track_ou"):
-        legal = _OU_NOISE_KEYS
-    elif kind.startswith("track_jd"):
-        legal = _JD_NOISE_KEYS
+def _moment_scenario(kind: str, top: _Fields, sys: SystemSpec, grid: TimeGrid):
+    """The scenario a moment run simulates, with its equilibrium map: a
+    PairScenario and None, or a CascadeScenario and its map. ``track_didc``
+    runs an OU input with sigma = 0 from xi0 = 0."""
+    n, m = sys.state_dim, sys.input_dim
+    x0 = top.get("x0", conv=_vector(n))
+    if kind in ("niss_pair", "niss_vs_ode"):
+        if kind == "niss_pair":
+            sys_y, mode = sys, top.get("coupling", "independent", CouplingMode)
+        else:
+            sys_y = affine_system(*sys.affine, sys.dispersion_matrix * 0.0, sys.metric)
+            mode = CouplingMode.INDEPENDENT
+        return PairScenario(
+            sys_x=sys, sys_y=sys_y, x0=x0, y0=top.get("y0", conv=_vector(n)),
+            u_x=_signal(top, "input_x", sys), u_y=_signal(top, "input_y", sys),
+            mode=mode, grid=grid,
+        ), None
+    theta = _signal(top, "theta", sys)
+    f = top.obj("eq_map")
+    eq = EquilibriumMap.affine(f.get("M"), f.get("b", None))
+    f.done()
+    if (eq.state_dim, eq.input_dim) != (n, m):
+        raise ConfigError(f"'eq_map' must map the system's {m} inputs to its {n} states")
+    if kind == "track_didc":
+        noise, xi0 = OUParams(c=sys.certificate.c_hat, sigma=0.0, dim=m), np.zeros(m)
     else:
-        raise ConfigError(f"field 'noise' not valid for scenario kind '{kind}'")
-    for key in noise:
-        if key not in legal:
-            raise ConfigError(
-                f"noise field '{key}' not valid for scenario kind '{kind}'"
-            )
-    required = {"sigma"} if kind.startswith("track_ou") else {"sigma_u", "a"}
-    for key in required:
-        if key not in noise:
-            raise ConfigError(
-                f"missing noise field '{key}' for scenario kind '{kind}'"
-            )
+        f = top.obj("noise")
+        c = f.get("c", sys.certificate.c_hat, float)
+        if kind.startswith("track_ou"):
+            noise = OUParams(c=c, sigma=f.get("sigma", conv=float), dim=m)
+            xi0 = top.get("xi0", [0.0] * m, _vector(m))
+        else:  # JD: xi0 is the initial input u0
+            noise = JDParams(c=c, theta=theta, sigma_u=f.get("sigma_u", conv=float),
+                             a=f.get("a"), unsafe=f.get("unsafe", False, bool))
+            xi0 = top.get("u0", theta.value(grid.t0).tolist(), _vector(m))
+        f.done()
+    _check_input_process(noise, sys, xi0, grid, False)
+    return CascadeScenario(noise=noise, theta=theta, sys=sys, x0=x0, xi0=xi0, grid=grid), eq
 
 
-def _fill_defaults(kind: str, data: dict):
-    if kind == "gibbs":
-        c = float(data["potential"].get("c", 1.0))
-    else:
-        sys = _build_system(data["system"])
-        c = sys.certificate.c_hat
-    grid = dict(data.get("grid", {}))
-    grid.setdefault("t0", 0.0)
-    grid.setdefault("dt", default_dt(c))
-    if kind == "gibbs":
-        grid.setdefault("steps", int(round(200.0 / c / grid["dt"])))
-    else:
-        grid.setdefault("steps", int(round(10.0 / grid["dt"])))
-    data["grid"] = grid
-    data.setdefault("n_paths", 10_000)
-    data.setdefault("master_seed", 0)
-    data.setdefault("alpha_policy", "opt")
-    data.setdefault("n_workers", 1)
-    if kind == "niss_pair":
-        data.setdefault("coupling", "independent")
-    if kind.startswith("track_ou"):
-        noise = dict(data["noise"])
-        noise.setdefault("c", c)
-        data["noise"] = noise
-        data.setdefault("xi0", [0.0] * sys.input_dim)
-    if kind.startswith("track_jd"):
-        noise = dict(data["noise"])
-        noise.setdefault("c", c)
-        noise.setdefault("unsafe", False)
-        data["noise"] = noise
-    if kind == "wasserstein":
-        data.setdefault("p", 2)
+def _signal(top: _Fields, key: str, sys: SystemSpec) -> InputSignal:
+    """The signal at ``key``, with one component per input of the system."""
+    sig = _build_signal(top.obj(key))
+    if sig.dim != sys.input_dim:
+        raise ConfigError(f"'{key}' has {sig.dim} components, not the system's {sys.input_dim}")
+    return sig
 
 
-def _build_signal(spec: dict) -> InputSignal:
-    kind = spec.get("kind")
+def _build_signal(f: _Fields) -> InputSignal:
+    kind = f.get("kind")
     if kind == "constant":
-        return InputSignal.constant(spec["value"])
-    if kind == "sinusoid":
-        return InputSignal.sinusoid(
-            spec["amplitude"], omega=spec.get("omega", 1.0),
-            phase=spec.get("phase", 0.0), offset=spec.get("offset"),
-        )
-    if kind == "piecewise_linear":
-        return InputSignal.piecewise_linear(spec["times"], spec["values"])
-    raise ConfigError(f"unknown input signal kind '{kind}'")
+        sig = InputSignal.constant(f.get("value"))
+    elif kind == "sinusoid":
+        sig = InputSignal.sinusoid(f.get("amplitude"), omega=f.get("omega", 1.0),
+                                   phase=f.get("phase", 0.0), offset=f.get("offset", None))
+    elif kind == "piecewise_linear":
+        sig = InputSignal.piecewise_linear(f.get("times"), f.get("values"))
+    else:
+        raise ConfigError(f"unknown input signal kind '{kind}'")
+    f.done()
+    return sig
 
 
-def _build_system(spec) -> SystemSpec:
+def _build_system(f: _Fields) -> SystemSpec:
     """The config's certified system; a missing or malformed field raises
     ConfigError, a drift that does not contract CertificationError."""
-    if not isinstance(spec, dict):
-        raise ConfigError("'system' must be an object")
-    if "name" in spec and spec["name"] != "scalar_tracker":
-        raise ConfigError(f"unknown system name '{spec['name']}'")
+    name = f.get("name", None)
+    if name not in (None, "scalar_tracker"):
+        raise ConfigError(f"unknown system name '{name}'")
+    if name is None:
+        A, B, Sigma = (f.get(key, conv=np.asarray) for key in ("A", "B", "Sigma"))
+        P = f.get("P", np.eye(A.shape[0] if A.ndim else 0).tolist(), np.asarray)
+    else:
+        c, sigma = f.get("c", conv=float), f.get("sigma", conv=float)
+    f.done()
     try:
-        if "name" in spec:
-            return scalar_tracker(float(spec["c"]), float(spec["sigma"]))
-        A = np.asarray(spec["A"], dtype=float)
-        B = np.asarray(spec["B"], dtype=float)
-        Sigma = np.asarray(spec["Sigma"], dtype=float)
-        P = np.asarray(spec.get("P", np.eye(A.shape[0])), dtype=float)
-        return affine_system(A, B, Sigma, validate_metric(P))
-    except KeyError as exc:
-        raise ConfigError(f"missing system field {exc}") from exc
+        return scalar_tracker(c, sigma) if name else affine_system(A, B, Sigma, validate_metric(P))
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"invalid system: {exc}") from exc
 
 
-def _build_grid(spec: dict) -> TimeGrid:
-    return TimeGrid(t0=float(spec["t0"]), dt=float(spec["dt"]), steps=int(spec["steps"]))
-
-
-def _build_eq_map(spec: dict) -> EquilibriumMap:
-    return EquilibriumMap.affine(spec["M"], spec.get("b"))
-
-
-def _tail_max(values: np.ndarray, steps: int) -> float:
-    start = steps - int(math.floor(TAIL_FRACTION * steps))
-    return float(values[start:].max())
-
-
-def _moment_scenario(cfg: ScenarioConfig, grid: TimeGrid, sys: SystemSpec):
-    """The scenario a moment run simulates, with its equilibrium map: a
-    PairScenario and None, or a CascadeScenario and its map. ``track_didc``
-    runs an OU input with sigma = 0 from xi0 = 0."""
-    d = cfg.data
-    x0 = np.asarray(d["x0"], dtype=float)
-    if cfg.kind in ("niss_pair", "niss_vs_ode"):
-        sys_y = sys
-        if cfg.kind == "niss_vs_ode":
-            sys_y = affine_system(*sys.affine, sys.dispersion_matrix * 0.0, sys.metric)
-        mode = CouplingMode.COMMON if d.get("coupling") == "common" else CouplingMode.INDEPENDENT
-        return PairScenario(
-            sys_x=sys, sys_y=sys_y, x0=x0, y0=np.asarray(d["y0"], dtype=float),
-            u_x=_build_signal(d["input_x"]), u_y=_build_signal(d["input_y"]),
-            mode=mode, grid=grid,
-        ), None
-    theta = _build_signal(d["theta"])
-    if cfg.kind.startswith("track_jd"):
-        nd = d["noise"]
-        noise = JDParams(c=float(nd["c"]), theta=theta, sigma_u=float(nd["sigma_u"]),
-                         a=np.asarray(nd["a"], dtype=float), unsafe=bool(nd["unsafe"]))
-        xi0 = np.asarray(d.get("u0", theta.value(grid.t0)), dtype=float)
+def _gibbs_potential(f: _Fields):
+    """(f, grad f, curvature c) of the config's potential."""
+    kind = f.get("kind")
+    if kind == "quadratic":
+        cpot = f.get("c", 1.0, float)
+        pot = (lambda x: 0.5 * cpot * x * x), (lambda x: cpot * x), cpot
+    elif kind == "quartic":
+        pot = (lambda x: 0.25 * x**4), (lambda x: x**3), 1.0
     else:
-        nd = d.get("noise", {"c": sys.certificate.c_hat, "sigma": 0.0})
-        noise = OUParams(c=float(nd["c"]), sigma=float(nd["sigma"]), dim=sys.input_dim)
-        xi0 = np.asarray(d.get("xi0", np.zeros(sys.input_dim)), dtype=float)
-    sc = CascadeScenario(noise=noise, theta=theta, sys=sys, x0=x0, xi0=xi0, grid=grid)
-    return sc, _build_eq_map(d["eq_map"])
+        raise ConfigError(f"unknown potential kind '{kind}'")
+    f.done()
+    return pot
 
 
 def _bound_params(kind: str, sc, eq) -> bnd.BoundParams:
@@ -287,13 +323,14 @@ def _bound_params(kind: str, sc, eq) -> bnd.BoundParams:
     sys = sc.sys_x if eq is None else sc.sys
     cert = sys.certificate
     kwargs = dict(c=cert.c_hat, ell=cert.ell_hat, sigma_x_sq=cert.sigma_x_sq_hat)
+    tail_max = lambda v: float(_tail(v, grid.steps, TAIL_FRACTION, min_steps=0).max())
     if eq is None:
         gap = lambda ts: _row_norm_sq(sc.u_x.value(ts) - sc.u_y.value(ts))
         return bnd.BoundParams(
             **kwargs, E0=sys.metric.norm_sq(np.atleast_1d(sc.x0 - sc.y0)),
-            input_gap_sq=gap, input_gap_sq_limsup=_tail_max(gap(times), grid.steps))
+            input_gap_sq=gap, input_gap_sq_limsup=tail_max(gap(times)))
     tdot = lambda ts: _row_norm_sq(sc.theta.derivative(ts))
-    kwargs.update(theta_dot_sq=tdot, theta_dot_sq_limsup=_tail_max(tdot(times), grid.steps))
+    kwargs.update(theta_dot_sq=tdot, theta_dot_sq_limsup=tail_max(tdot(times)))
     # h_ou = h_jd = 0: affine equilibrium maps have zero curvature
     th0 = sc.theta.value(grid.t0)
     xi0, noise = np.atleast_1d(sc.xi0), sc.noise
@@ -331,60 +368,45 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Union[str, os.PathLike],
     run leaves out_dir as it was, and a successful one leaves no file of an
     earlier bundle behind.
     """
+    run = _build(cfg.kind, copy.deepcopy(cfg.data))  # the builder fills defaults in place
     out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as tmp:
         bundle = Path(tmp) / "bundle"
         bundle.mkdir()
-        verdict = _run_scenario_inner(cfg, bundle, dry_run)
+        verdict = _run_scenario_inner(run, bundle, dry_run)
         if out_dir.exists():
             out_dir.rename(Path(tmp) / "old")  # removed with the temporary directory
         bundle.rename(out_dir)
     return verdict
 
 
-def _run_scenario_inner(cfg: ScenarioConfig, out_dir: Path, dry_run: bool) -> Verdict:
-    d = cfg.data
-    grid = _build_grid(d["grid"])
-    if cfg.kind == "gibbs":
-        potential = _gibbs_potential(d["potential"])
-        sigma = float(d["sigma"])
-        certificate = json.dumps(
-            {"potential": d["potential"], "sigma": sigma,
-             "stationary_variance_quadratic": sigma**2 / (2.0 * potential[2])},
-            indent=2, sort_keys=True)
-    else:
-        sys = _build_system(d["system"])
-        certificate = sys.certificate.to_json()
-    (out_dir / "certificate.json").write_text(certificate + "\n", encoding="utf-8")
+def _run_scenario_inner(run: _Run, out_dir: Path, dry_run: bool) -> Verdict:
+    (out_dir / "certificate.json").write_text(run.certificate() + "\n", encoding="utf-8")
     if dry_run:
         (out_dir / "verdict.json").write_text(json.dumps(
-            {"dry_run": True, "scenario_kind": cfg.kind}, indent=2) + "\n",
+            {"dry_run": True, "scenario_kind": run.kind}, indent=2) + "\n",
             encoding="utf-8")
-        return Verdict(holds=True, worst_margin=math.inf, worst_t=grid.t0,
+        return Verdict(holds=True, worst_margin=math.inf, worst_t=run.grid.t0,
                        slack_rule="dry run: no simulation")
-    if cfg.kind == "gibbs":
-        return _run_gibbs(cfg, out_dir, grid, potential)
-    if cfg.kind == "wasserstein":
-        return _run_wasserstein(cfg, out_dir, grid, sys)
-    return _run_moments(cfg, out_dir, grid, sys)
+    runner = {"gibbs": _run_gibbs, "wasserstein": _run_wasserstein}.get(run.kind, _run_moments)
+    return runner(run, out_dir)
 
 
-def _run_moments(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, sys) -> Verdict:
-    d = cfg.data
-    sc, eq = _moment_scenario(cfg, grid, sys)
-    env = bnd.make_envelope("niss_two_traj" if cfg.kind == "niss_pair" else cfg.kind,
-                            _bound_params(cfg.kind, sc, eq))
-    n_paths, seed, workers = int(d["n_paths"]), int(d["master_seed"]), int(d["n_workers"])
+def _run_moments(run: _Run, out_dir: Path) -> Verdict:
+    sc, eq, grid = run.scenario, run.eq, run.grid
+    env = bnd.make_envelope("niss_two_traj" if run.kind == "niss_pair" else run.kind,
+                            _bound_params(run.kind, sc, eq))
     if eq is None:
-        series = pair_error_moment(sc, n_paths, seed, n_workers=workers)
+        series = pair_error_moment(sc, run.n_paths, run.seed, n_workers=run.n_workers)
     else:
-        target = "stochastic_curve" if cfg.kind.endswith("sisc") else "deterministic_curve"
-        series = tracking_error_moment(sc, eq, target, n_paths, seed, n_workers=workers)
+        target = "stochastic_curve" if run.kind.endswith("sisc") else "deterministic_curve"
+        series = tracking_error_moment(sc, eq, target, run.n_paths, run.seed,
+                                       n_workers=run.n_workers)
     times = series.times()
     # a fixed policy's alpha has the fixed column; "opt" judges the optimized one
-    opt = d["alpha_policy"] == "opt"
-    a_fixed = _OPT_FIXED_ALPHA if opt else float(d["alpha_policy"])
+    opt = run.alpha == "opt"
+    a_fixed = _OPT_FIXED_ALPHA if opt else float(run.alpha)
     a_opt = _resolve_alpha(env, "optimized", grid)
     elapsed = times - grid.t0
     bound_fixed = env.eval_grid(elapsed, a_fixed)
@@ -397,61 +419,37 @@ def _run_moments(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, sys) -> Ver
     _write_csv([out_dir / "envelope.csv"], ["t", "alpha", "bound"], (
         np.concatenate([times, times]), np.repeat([a_fixed, a_opt], len(times)),
         np.concatenate([bound_fixed, bound_opt])))
-    _write_verdict(out_dir, cfg, verdict, extra={
-        "alpha_fixed": a_fixed, "alpha_optimized": a_opt,
-    })
+    _write_verdict(out_dir, run.kind, verdict, alpha_fixed=a_fixed, alpha_optimized=a_opt)
     return verdict
 
 
-def _run_wasserstein(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, sys) -> Verdict:
-    d = cfg.data
-    cloud = d["cloud"]
-    k = int(cloud["k"])
-    n = sys.state_dim
-    seed = int(d["master_seed"])
-    rx = RngLineage(seed, 1 << 32).stream()
-    ry = RngLineage(seed, (1 << 32) + 1).stream()
-    x0 = np.asarray(cloud.get("mean_x", np.zeros(n)), dtype=float) + \
-        float(cloud.get("std", 1.0)) * rx.standard_normal((k, n))
-    y0 = np.asarray(cloud.get("mean_y", np.zeros(n)), dtype=float) + \
-        float(cloud.get("std", 1.0)) * ry.standard_normal((k, n))
-    sc = WassersteinScenario(
-        sys_x=sys, sys_y=sys, x0_samples=x0, y0_samples=y0,
-        u_x=_build_signal(d["input_x"]), u_y=_build_signal(d["input_y"]), grid=grid,
-    )
-    p = math.inf if d["p"] in ("inf", math.inf) else float(d["p"])
-    workers = int(d["n_workers"])
-    times, w_emp, env = wasserstein_series(sc, p, seed, n_workers=workers)
-    verdict = _wasserstein_verdict(times, w_emp, env, k)
+def _run_wasserstein(run: _Run, out_dir: Path) -> Verdict:
+    sc = run.scenario
+    p = math.inf if run.p == "inf" else float(run.p)
+    times, w_emp, env = wasserstein_series(sc, p, run.seed, n_workers=run.n_workers)
+    verdict = _wasserstein_verdict(times, w_emp, env, sc.k)
     _write_csv([out_dir / "wasserstein.csv", out_dir / "plotdata.csv"],
                ["t", "w_p_empirical", "envelope"], (times, w_emp, env))
-    _write_verdict(out_dir, cfg, verdict, extra={"p": d["p"], "k": k})
+    _write_verdict(out_dir, run.kind, verdict, p=run.p, k=sc.k)
     return verdict
 
 
-def _gibbs_potential(spec: dict):
-    kind = spec.get("kind")
-    if kind == "quadratic":
-        cpot = float(spec.get("c", 1.0))
-        return (lambda x: 0.5 * cpot * x * x), (lambda x: cpot * x), cpot
-    if kind == "quartic":
-        return (lambda x: 0.25 * x**4), (lambda x: x**3), 1.0
-    raise ConfigError(f"unknown potential kind '{kind}'")
-
-
-def _run_gibbs(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, potential) -> Verdict:
-    d = cfg.data
-    f, grad_f, cpot = potential
-    sigma = float(d["sigma"])
-    rng = RngLineage(int(d["master_seed"]), 0).stream()
+def _run_gibbs(run: _Run, out_dir: Path) -> Verdict:
+    f, grad_f, cpot, sigma = run.scenario
+    grid = run.grid
+    rng = RngLineage(run.seed, 0).stream()
     x = 0.0
     sq_dt = math.sqrt(grid.dt)
     xs = np.empty(grid.steps + 1)
     xs[0] = x
     noise = rng.standard_normal(grid.steps)
-    for kk in range(grid.steps):
-        x = x - grad_f(x) * grid.dt + sigma * sq_dt * noise[kk]
-        xs[kk + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged chain is reported below
+        for kk in range(grid.steps):
+            x = x - grad_f(x) * grid.dt + sigma * sq_dt * noise[kk]
+            xs[kk + 1] = x
+    bad = np.flatnonzero(~np.isfinite(xs))
+    if bad.size:
+        raise DivergenceError(f"non-finite Gibbs chain state at step {bad[0]}", step=int(bad[0]))
     burn = int(round(10.0 / cpot / grid.dt))
     stride = max(int(round(1.0 / grid.dt)), 1)
     samples = xs[burn::stride]
@@ -467,22 +465,19 @@ def _run_gibbs(cfg: ScenarioConfig, out_dir: Path, grid: TimeGrid, potential) ->
                       worst_margin=float(crit - res["ks_stat"]) / crit,
                       worst_t=grid.horizon,
                       slack_rule=f"KS statistic <= 1% critical value {crit:.4g}")
-    _write_verdict(out_dir, cfg, verdict, extra={
-        "ks_stat": res["ks_stat"], "residual": res["residual"],
-        "n_samples": int(samples.shape[0]),
-    })
+    _write_verdict(out_dir, run.kind, verdict, ks_stat=res["ks_stat"],
+                   residual=res["residual"], n_samples=int(samples.shape[0]))
     return verdict
 
 
-def _write_verdict(out_dir: Path, cfg: ScenarioConfig, verdict: Verdict, extra=None):
+def _write_verdict(out_dir: Path, kind: str, verdict: Verdict, **extra):
     payload = {
-        "scenario_kind": cfg.kind,
+        "scenario_kind": kind,
         "holds": verdict.holds,
         "worst_margin": verdict.worst_margin,
         "worst_t": verdict.worst_t,
         "slack_rule": verdict.slack_rule,
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     (out_dir / "verdict.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 front end (exit codes, overrides, reproducibility of written artifacts)."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 from contracting_sde import (
     CertificationError,
     ConfigError,
+    DivergenceError,
     InputSignal,
-    TimeGrid,
     parse_config,
     run_scenario,
 )
@@ -440,12 +441,12 @@ class TestRunScenarioApi:
     def test_two_input_gap_and_theta_dot_round_as_row_dot_products(self):
         # batched norms (einsum, sum, norm(axis=1)) round differently from
         # the per-row v @ v once m >= 2
-        from contracting_sde.scenarios import _bound_params, _build_system, _moment_scenario
+        from contracting_sde.scenarios import _bound_params, _build
 
         def bound_params(cfg):
-            cfg = parse_config(json.dumps(cfg))
-            sc, eq = _moment_scenario(cfg, TimeGrid(0.0, 0.01, 500), _build_system(cfg.data["system"]))
-            return sc, _bound_params(cfg.kind, sc, eq)
+            cfg = parse_config(json.dumps({**cfg, "grid": {"dt": 0.01, "steps": 500}}))
+            run = _build(cfg.kind, cfg.data)
+            return run.scenario, _bound_params(run.kind, run.scenario, run.eq)
 
         ts = np.linspace(0.0, 5.0, 2001)
         system = {"A": [[-1.0, 0.3], [0.0, -1.5]], "B": [[1.0, 0.2], [0.1, 1.0]],
@@ -496,3 +497,128 @@ class TestCheckedBeforeSimulating:
         assert "config error: 'alpha_policy' must be \"opt\" or lie in (0, 1), got 'foo'" \
             in capsys.readouterr().err
         assert not (tmp_path / "out" / "tiny").exists()
+
+
+def _tiny_jd(**extra):
+    return {**_feller_violation(), "noise": {"sigma_u": 0.5, "a": [1.0]}, **extra}
+
+
+def _gibbs(**extra):
+    return {"scenario_kind": "gibbs", "potential": {"kind": "quadratic"}, "sigma": 1.0,
+            "grid": {"dt": 0.01, "steps": 2000}, **extra}
+
+
+def _no_simulation(monkeypatch):
+    import contracting_sde.scenarios as scenarios_mod
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a config that should not parse")
+
+    for name in ("pair_error_moment", "tracking_error_moment", "wasserstein_series"):
+        monkeypatch.setattr(scenarios_mod, name, no_simulation)
+
+
+class TestEveryKeyIsRead:
+    @pytest.mark.parametrize("config, obj, key", [
+        (_minimal_niss_pair(grid={"dt": 0.01, "stepz": 50}), "grid", "stepz"),
+        (_minimal_niss_pair(system={"A": [[-1.0]], "B": [[1.0]], "Sigma": [[0.3]],
+                                    "PP": [[4.0]]}), "system", "PP"),
+        (_tiny_run_config(input_x={"kind": "sinusoid", "amplitude": [1.0], "omgea": 2.0}),
+         "input_x", "omgea"),
+        (_tiny_track_didc(eq_map={"M": [[1.0]], "bb": [0.5]}), "eq_map", "bb"),
+        (_tiny_jd(noise={"sigma_u": 0.5, "a": [1.0], "theta_is_target": True}),
+         "noise", "theta_is_target"),
+        (_tiny_wasserstein(cloud={"k": 64, "sdt": 2.0}), "cloud", "sdt"),
+        (_gibbs(potential={"kind": "quartic", "c": 2.0}), "potential", "c"),
+    ])
+    def test_unread_nested_key_names_object_and_key(self, config, obj, key):
+        kind = config["scenario_kind"]
+        with pytest.raises(ConfigError,
+                           match=f"{obj} field '{key}' not valid for scenario kind '{kind}'"):
+            parse_config(json.dumps(config))
+
+    @pytest.mark.parametrize("config, key", [
+        (_tiny_wasserstein(n_paths=100), "n_paths"),
+        (_tiny_wasserstein(alpha_policy="opt"), "alpha_policy"),
+        (_gibbs(n_workers=2), "n_workers"),
+        (_gibbs(n_paths=100), "n_paths"),
+        (_gibbs(alpha_policy=0.5), "alpha_policy"),
+        (_tiny_run_config(scenario_kind="niss_vs_ode", coupling="common"), "coupling"),
+    ])
+    def test_key_the_kind_never_reads_is_unknown(self, config, key):
+        kind = config["scenario_kind"]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' for scenario kind '{kind}'"):
+            parse_config(json.dumps(config))
+
+    @pytest.mark.parametrize("config, message", [
+        (_tiny_wasserstein(cloud={"mean_x": [1.0]}), "missing cloud field 'k'"),
+        (_tiny_run_config(input_x={"kind": "sine", "amplitude": [1.0]}),
+         "unknown input signal kind 'sine'"),
+        (_tiny_run_config(input_x={"kind": "sinusoid", "omega": 2.0}),
+         "missing input_x field 'amplitude'"),
+        (_tiny_run_config(coupling="shared"), "invalid config field 'coupling'"),
+        (_tiny_run_config(input_y={"kind": "constant", "value": [0.0, 1.0]}),
+         "'input_y' has 2 components, not the system's 1"),
+        (_tiny_track_didc(eq_map={"M": [[1.0, 0.0]]}),
+         "'eq_map' must map the system's 1 inputs to its 1 states"),
+        (_tiny_jd(theta={"kind": "sinusoid", "amplitude": [0.45], "offset": [0.5]},
+                  noise={"sigma_u": 0.7, "a": [1.0]}), "Feller"),
+    ])
+    def test_config_is_built_at_parse(self, tmp_path, capsys, monkeypatch, config, message):
+        _no_simulation(monkeypatch)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(config))
+        code = main(["run", _write(tmp_path, "bad.json", config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_paths_override_on_a_wasserstein_config(self, tmp_path, capsys, monkeypatch):
+        _no_simulation(monkeypatch)
+        config = _write(tmp_path, "w.json", _tiny_wasserstein())
+        code = main(["run", config, "--paths", "100", "--out", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert ("config error: unknown key 'n_paths' for scenario kind 'wasserstein'"
+                in capsys.readouterr().err)
+
+    def test_every_default_is_written_into_the_data(self, capsys, tmp_path):
+        cfg = parse_config(json.dumps(_tiny_jd(theta={"kind": "sinusoid", "amplitude": [0.1],
+                                                      "offset": [0.5]})))
+        assert cfg.data["grid"] == {"t0": 0.0, "dt": 0.01, "steps": 100}
+        assert cfg.data["noise"] == {"c": 1.0, "sigma_u": 0.5, "a": [1.0], "unsafe": False}
+        assert cfg.data["theta"]["omega"] == 1.0 and cfg.data["theta"]["phase"] == 0.0
+        assert cfg.data["u0"] == [0.5]
+        assert parse_config(cfg.serialize()).data == cfg.data
+        config = _write(tmp_path, "jd.json", _tiny_jd())
+        assert main(["run", config, "--dry-run", "--out", str(tmp_path / "out")]) == EXIT_HOLDS
+        echoed = json.loads(capsys.readouterr().out.split("verdict:")[0])
+        assert echoed["noise"]["unsafe"] is False and echoed["alpha_policy"] == "opt"
+        assert echoed["system"] == {"name": "scalar_tracker", "c": 1.0, "sigma": 0.2}
+
+
+class TestGibbsKind:
+    def test_shipped_config_writes_its_bundle(self, tmp_path):
+        cfg = parse_config((CONFIG_DIR / "gibbs_quadratic.json").read_text(encoding="utf-8"))
+        verdict = run_scenario(cfg, tmp_path / "bundle")
+        assert verdict.holds
+        bundle = tmp_path / "bundle"
+        assert sorted(p.name for p in bundle.iterdir()) == [
+            "certificate.json", "gibbs.csv", "plotdata.csv", "verdict.json"]
+        written = json.loads((bundle / "verdict.json").read_text(encoding="utf-8"))
+        assert set(written) == {"scenario_kind", "holds", "worst_margin", "worst_t",
+                                "slack_rule", "ks_stat", "residual", "n_samples"}
+        assert written["scenario_kind"] == "gibbs" and written["holds"] is True
+        assert written["worst_t"] == 200.0
+        assert written["n_samples"] == 40000 // 200 - 10 + 1  # burn 10 / c, one per unit time
+        assert 0.0 <= written["ks_stat"] <= 1.63 / math.sqrt(written["n_samples"])
+        cert = json.loads((bundle / "certificate.json").read_text(encoding="utf-8"))
+        assert cert["stationary_variance_quadratic"] == 0.5
+        rows = (bundle / "gibbs.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "x,density_model" and len(rows) == 2002
+
+    def test_diverging_chain_raises_and_leaves_no_bundle(self, tmp_path):
+        cfg = parse_config(json.dumps(_gibbs(potential={"kind": "quartic"},
+                                             grid={"dt": 0.5, "steps": 200}, master_seed=3)))
+        with pytest.raises(DivergenceError, match="non-finite Gibbs chain state at step"):
+            run_scenario(cfg, tmp_path / "bundle")
+        assert list(tmp_path.iterdir()) == []

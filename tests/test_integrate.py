@@ -202,6 +202,20 @@ class TestIntegrateCascade:
         integrate_cascade(noise, theta, sys, [0.5], [0.5],
                           TimeGrid(0.0, 1e-3, 10), RngLineage(0), unsafe=True)
 
+    def test_jd_feller_is_checked_on_the_whole_grid(self):
+        # theta = 0.5 + 0.45 sin t: the margin is +0.255 at t = 0 and -0.195
+        # where theta peaks, at t = pi/2
+        sys = scalar_tracker(1.0, 0.2)
+        theta = InputSignal.sinusoid([0.45], offset=[0.5])
+        noise = JDParams(c=1.0, theta=theta, sigma_u=0.7, a=[1.0])
+        assert noise.feller_margin == pytest.approx(0.255)
+        grid = TimeGrid(0.0, 1e-2, 200)
+        with pytest.raises(ConfigError, match=r"Feller.*margin -0\.195"):
+            integrate_cascade(noise, theta, sys, [0.5], [0.5], grid, RngLineage(0))
+        u_traj, _ = integrate_cascade(noise, theta, sys, [0.5], [0.5], grid, RngLineage(0),
+                                      unsafe=True)
+        assert np.all((u_traj.states > 0.0) & (u_traj.states < 1.0))
+
     def test_jd_initial_condition_validated(self):
         sys = scalar_tracker(1.0, 0.2)
         theta = InputSignal.constant([0.5])

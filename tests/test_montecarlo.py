@@ -359,6 +359,19 @@ class TestTailStatistics:
         with pytest.raises(InputError):
             tail_average(np.ones(101), 0.0)
 
+    def test_standard_error_reads_the_same_window(self):
+        # window of 100 - floor(0.25 * 100) = step 75 on; at least 10 steps
+        grid = TimeGrid(0.0, 0.1, 100)
+        values = np.arange(101.0)[::-1]
+        series = MomentSeries(grid=grid, mean_sq=values, std_err=values, n_paths=100)
+        assert tail_standard_error(series, 0.25) == 25.0
+        assert tail_average(series, 0.25) == (12.5, 25.0)
+        short = MomentSeries(grid=TimeGrid(0.0, 0.1, 49), mean_sq=np.ones(50),
+                             std_err=np.ones(50), n_paths=100)
+        for fraction in (0.2, 1.5):
+            with pytest.raises(InputError):
+                tail_standard_error(short, fraction)
+
 
 class TestStatisticalConsistency:
     def test_standard_error_shrinks_with_path_count(self):
