@@ -9,7 +9,6 @@ silently promoted to certificates.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .core import Certificate, EquilibriumMap, Metric, validate_metric
 from .errors import EstimationError, InputError
@@ -20,13 +19,18 @@ _PAIR_DISTANCE_FLOOR = 1e-8
 def oslip_affine(A: np.ndarray, metric: Metric) -> float:
     """One-sided Lipschitz constant of x -> A x in the weighted norm.
 
-    Equals the largest generalized eigenvalue of (PA + A^T P)/2 against P;
-    exact for affine drifts.
+    Equals the largest generalized eigenvalue of S = (PA + A^T P)/2 against
+    P, the largest eigenvalue of L^-1 S L^-T for P = L L^T; exact for affine
+    drifts. With d = diag(L) and the unit factor Lu = L / d, that matrix is
+    (Lu^-1 S Lu^-T) / (d d^T): s / (l l) in one dimension, as LAPACK's
+    dsygst forms it.
     """
     A = np.asarray(A, dtype=float)
     S = 0.5 * (metric.P @ A + A.T @ metric.P)
-    vals = scipy.linalg.eigh(S, metric.P, eigvals_only=True)
-    return float(vals[-1])
+    d = np.diag(metric.chol)
+    Lu_inv = np.linalg.inv(metric.chol / d)
+    W = (Lu_inv @ S @ Lu_inv.T) / np.outer(d, d)
+    return float(np.linalg.eigvalsh(0.5 * (W + W.T))[-1])
 
 
 def box_sampler(lo, hi):

@@ -107,8 +107,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise InputError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:  # NaN fails too
+            raise InputError("dt must be positive and finite")
         if self.steps < 0:
             raise InputError("steps must be nonnegative")
 

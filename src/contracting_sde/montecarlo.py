@@ -115,10 +115,13 @@ def _moments(grid, n_paths, n_workers, blocks, norm_sq):
     def worker(start, count):
         ps, pq = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
         for k, views in blocks(start, count):
-            sq = norm_sq(k, views)
-            ps[k:k + len(sq)] = sq.sum(axis=1)
-            sq *= sq
-            pq[k:k + len(sq)] = sq.sum(axis=1)
+            # as in the kernel: the squares of a diverging path may overflow
+            # before its DivergenceError is raised
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq = norm_sq(k, views)
+                ps[k:k + len(sq)] = sq.sum(axis=1)
+                sq *= sq
+                pq[k:k + len(sq)] = sq.sum(axis=1)
         return ps, pq
 
     partials = _run_chunks(worker, n_paths, n_workers)

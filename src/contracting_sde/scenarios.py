@@ -20,6 +20,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -130,6 +131,17 @@ class _Fields:
         """The reader of the object at ``key``."""
         return _Fields(self.get(key, default), self.kind, key)
 
+    @contextmanager
+    def building(self):
+        """Re-raise a bad value that a constructor meets while building
+        this object as a ConfigError naming the object."""
+        try:
+            yield
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, IndexError, ArithmeticError) as exc:
+            raise ConfigError(f"invalid {self.name}: {exc}") from exc
+
     def done(self):
         for key in self.data:
             if key not in self.read:
@@ -181,9 +193,10 @@ def _build(kind: str, data: dict) -> _Run:
         sys = _build_system(top.obj("system"))
         c = sys.certificate.c_hat
     g = top.obj("grid", {})
-    dt = g.get("dt", default_dt(c), float)
-    steps = g.get("steps", int(round((200.0 / c if kind == "gibbs" else 10.0) / dt)), int)
-    grid = TimeGrid(t0=g.get("t0", 0.0, float), dt=dt, steps=steps)
+    with g.building():
+        dt = g.get("dt", default_dt(c), float)
+        steps = g.get("steps", int(round((200.0 / c if kind == "gibbs" else 10.0) / dt)), int)
+        grid = TimeGrid(t0=g.get("t0", 0.0, float), dt=dt, steps=steps)
     g.done()
     if kind == "gibbs":
         sigma = top.get("sigma", conv=float)
@@ -197,18 +210,19 @@ def _build(kind: str, data: dict) -> _Run:
     workers = top.get("n_workers", 1, int)
     if kind == "wasserstein":
         n = sys.state_dim
+        u_x, u_y = _signal(top, "input_x", sys), _signal(top, "input_y", sys)
         cloud = top.obj("cloud")
         k, std = cloud.get("k", conv=int), cloud.get("std", 1.0, float)
-        x0, y0 = (cloud.get(key, [0.0] * n, _vector(n))
-                  + std * RngLineage(seed, path).stream().standard_normal((k, n))
-                  for key, path in (("mean_x", 1 << 32), ("mean_y", (1 << 32) + 1)))
+        with cloud.building():  # the scenario checks the clouds it is given
+            x0, y0 = (cloud.get(key, [0.0] * n, _vector(n))
+                      + std * RngLineage(seed, path).stream().standard_normal((k, n))
+                      for key, path in (("mean_x", 1 << 32), ("mean_y", (1 << 32) + 1)))
+            sc = WassersteinScenario(sys_x=sys, sys_y=sys, x0_samples=x0, y0_samples=y0,
+                                     u_x=u_x, u_y=u_y, grid=grid)
         cloud.done()
         p = top.get("p", 2)
         if p != "inf" and not (_is_number(p) and p >= 1.0):
             raise ConfigError(f"'p' must be a number >= 1 or \"inf\", got {p!r}")
-        sc = WassersteinScenario(
-            sys_x=sys, sys_y=sys, x0_samples=x0, y0_samples=y0,
-            u_x=_signal(top, "input_x", sys), u_y=_signal(top, "input_y", sys), grid=grid)
         top.done()
         return _Run(kind, grid, sys.certificate.to_json, sc, seed=seed, n_workers=workers, p=p)
     n_paths = top.get("n_paths", 10_000, int)
@@ -240,7 +254,8 @@ def _moment_scenario(kind: str, top: _Fields, sys: SystemSpec, grid: TimeGrid):
         ), None
     theta = _signal(top, "theta", sys)
     f = top.obj("eq_map")
-    eq = EquilibriumMap.affine(f.get("M"), f.get("b", None))
+    with f.building():
+        eq = EquilibriumMap.affine(f.get("M"), f.get("b", None))
     f.done()
     if (eq.state_dim, eq.input_dim) != (n, m):
         raise ConfigError(f"'eq_map' must map the system's {m} inputs to its {n} states")
@@ -249,13 +264,14 @@ def _moment_scenario(kind: str, top: _Fields, sys: SystemSpec, grid: TimeGrid):
     else:
         f = top.obj("noise")
         c = f.get("c", sys.certificate.c_hat, float)
-        if kind.startswith("track_ou"):
-            noise = OUParams(c=c, sigma=f.get("sigma", conv=float), dim=m)
-            xi0 = top.get("xi0", [0.0] * m, _vector(m))
-        else:  # JD: xi0 is the initial input u0
-            noise = JDParams(c=c, theta=theta, sigma_u=f.get("sigma_u", conv=float),
-                             a=f.get("a"), unsafe=f.get("unsafe", False, bool))
-            xi0 = top.get("u0", theta.value(grid.t0).tolist(), _vector(m))
+        with f.building():
+            if kind.startswith("track_ou"):
+                noise = OUParams(c=c, sigma=f.get("sigma", conv=float), dim=m)
+                xi0 = top.get("xi0", [0.0] * m, _vector(m))
+            else:  # JD: xi0 is the initial input u0
+                noise = JDParams(c=c, theta=theta, sigma_u=f.get("sigma_u", conv=float),
+                                 a=f.get("a"), unsafe=f.get("unsafe", False, bool))
+                xi0 = top.get("u0", theta.value(grid.t0).tolist(), _vector(m))
         f.done()
     _check_input_process(noise, sys, xi0, grid, False)
     return CascadeScenario(noise=noise, theta=theta, sys=sys, x0=x0, xi0=xi0, grid=grid), eq
@@ -271,15 +287,16 @@ def _signal(top: _Fields, key: str, sys: SystemSpec) -> InputSignal:
 
 def _build_signal(f: _Fields) -> InputSignal:
     kind = f.get("kind")
-    if kind == "constant":
-        sig = InputSignal.constant(f.get("value"))
-    elif kind == "sinusoid":
-        sig = InputSignal.sinusoid(f.get("amplitude"), omega=f.get("omega", 1.0),
-                                   phase=f.get("phase", 0.0), offset=f.get("offset", None))
-    elif kind == "piecewise_linear":
-        sig = InputSignal.piecewise_linear(f.get("times"), f.get("values"))
-    else:
-        raise ConfigError(f"unknown input signal kind '{kind}'")
+    with f.building():
+        if kind == "constant":
+            sig = InputSignal.constant(f.get("value"))
+        elif kind == "sinusoid":
+            sig = InputSignal.sinusoid(f.get("amplitude"), omega=f.get("omega", 1.0),
+                                       phase=f.get("phase", 0.0), offset=f.get("offset", None))
+        elif kind == "piecewise_linear":
+            sig = InputSignal.piecewise_linear(f.get("times"), f.get("values"))
+        else:
+            raise ConfigError(f"unknown input signal kind '{kind}'")
     f.done()
     return sig
 
@@ -296,10 +313,8 @@ def _build_system(f: _Fields) -> SystemSpec:
     else:
         c, sigma = f.get("c", conv=float), f.get("sigma", conv=float)
     f.done()
-    try:
+    with f.building():
         return scalar_tracker(c, sigma) if name else affine_system(A, B, Sigma, validate_metric(P))
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"invalid system: {exc}") from exc
 
 
 def _gibbs_potential(f: _Fields):

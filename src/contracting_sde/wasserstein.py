@@ -18,9 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .bounds import decay_convolution
 from .core import InputSignal, Metric, SystemSpec, TimeGrid, _row_norm_sq
@@ -90,6 +87,8 @@ def wasserstein_assignment(mx: EmpiricalMeasure, my: EmpiricalMeasure, p, norm="
     Finite p minimizes the mean p-th power cost; p = infinity solves the
     bottleneck assignment (minimize the largest matched distance).
     """
+    import scipy.optimize  # here, not at the top: importing the package loads no scipy
+
     if mx.k != my.k:
         raise InputError("sample counts must match")
     if mx.k > MAX_SAMPLES:
@@ -113,6 +112,8 @@ def _bottleneck_assignment(D: np.ndarray) -> float:
     no probe. Each probe relabels rows and columns by ascending degree, so
     that Hopcroft-Karp matches the scarcest vertices first.
     """
+    import scipy.sparse.csgraph
+
     k = D.shape[0]
     cands = np.unique(D[D >= max(D.min(axis=1).max(), D.min(axis=0).max())])
     lo, hi = 0, cands.shape[0] - 1
@@ -161,6 +162,8 @@ class WassersteinScenario:
         ys = np.atleast_2d(np.asarray(self.y0_samples, dtype=float))
         if xs.shape != ys.shape:
             raise InputError("initial clouds must have equal shape")
+        if xs.shape[0] == 0:
+            raise InputError("initial clouds are empty")
         if xs.shape[0] > MAX_SAMPLES:
             raise CapacityError(
                 f"{xs.shape[0]} samples exceed the cap of {MAX_SAMPLES}"

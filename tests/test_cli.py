@@ -596,6 +596,33 @@ class TestEveryKeyIsRead:
         assert echoed["system"] == {"name": "scalar_tracker", "c": 1.0, "sigma": 0.2}
 
 
+class TestBuildErrorsNameTheirObject:
+    @pytest.mark.parametrize("config, obj, message", [
+        (_minimal_niss_pair(grid={"dt": 0.01, "steps": -5}), "grid", "steps must be nonnegative"),
+        (_minimal_niss_pair(grid={"dt": math.inf, "steps": 5}), "grid",
+         "dt must be positive and finite"),
+        (_tiny_run_config(input_x={"kind": "sinusoid", "amplitude": ["x"]}), "input_x",
+         "could not convert string to float: 'x'"),
+        (_tiny_jd(theta={"kind": "piecewise_linear", "times": [1.0, 0.0],
+                         "values": [[0.5], [0.5]]}), "theta", "knot times must be strictly"),
+        (_tiny_jd(noise={"sigma_u": 0.5, "a": [-1.0]}), "noise",
+         "JD upper bounds a must be positive"),
+        (_tiny_track_didc(eq_map={"M": [["x"]]}), "eq_map",
+         "could not convert string to float: 'x'"),
+        (_tiny_wasserstein(cloud={"k": -5}), "cloud", "negative dimensions"),
+        (_tiny_wasserstein(cloud={"k": 0}), "cloud", "initial clouds are empty"),
+    ])
+    def test_constructor_error_is_a_config_error(self, tmp_path, capsys, monkeypatch, config,
+                                                 obj, message):
+        _no_simulation(monkeypatch)
+        with pytest.raises(ConfigError, match=f"invalid {obj}: {message}"):
+            parse_config(json.dumps(config))
+        code = main(["run", _write(tmp_path, "bad.json", config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert f"config error: invalid {obj}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestGibbsKind:
     def test_shipped_config_writes_its_bundle(self, tmp_path):
         cfg = parse_config((CONFIG_DIR / "gibbs_quadratic.json").read_text(encoding="utf-8"))

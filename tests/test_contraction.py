@@ -46,6 +46,41 @@ class TestOslipAffine:
         assert abs(sampled - exact) <= 1e-6
 
 
+class TestOslipAffineAgainstScipy:
+    """scipy's generalized symmetric eigensolver as the independent oracle."""
+
+    @staticmethod
+    def _oracle(A, metric):
+        import scipy.linalg
+
+        S = 0.5 * (metric.P @ A + A.T @ metric.P)
+        return float(scipy.linalg.eigh(S, metric.P, eigvals_only=True)[-1])
+
+    def test_bit_identical_for_every_1d_metric(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            A = rng.normal(size=(1, 1)) * rng.uniform(0.1, 10.0)
+            m = validate_metric(rng.uniform(1e-3, 1e3, size=(1, 1)))
+            assert oslip_affine(A, m) == self._oracle(A, m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_identical_for_the_identity_metric(self, n):
+        rng = np.random.default_rng(n)
+        m = identity_metric(n)
+        for _ in range(200):
+            A = rng.normal(size=(n, n))
+            assert oslip_affine(A, m) == self._oracle(A, m)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_spd_metric_within_1e_12(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(200):
+            A = rng.normal(size=(n, n))
+            M = rng.normal(size=(n, n))
+            m = validate_metric(M @ M.T + 0.1 * np.eye(n))
+            assert oslip_affine(A, m) == pytest.approx(self._oracle(A, m), rel=1e-12, abs=0.0)
+
+
 class TestOslipSampled:
     def test_affine_drift_matches_exact(self):
         A = np.array([[-1.5, 0.3], [-0.2, -0.7]])

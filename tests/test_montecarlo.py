@@ -2,6 +2,7 @@
 worker-count-independent reproducibility of the chunked path scheduler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,16 @@ class TestOuMoment:
             ou_moment(p, [1.0], TimeGrid(0.0, 1.0, 2000), n_paths=100, master_seed=0,
                       method="euler")
         assert err.value.step is not None and err.value.path_index is not None
+
+    def test_divergence_raises_before_any_overflow_warning(self):
+        # the moment reduction squares squared norms of the diverging path;
+        # it runs with the kernel's warnings off, so DivergenceError comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                ou_moment(OUParams(c=3.0, sigma=1.0), [1.0], TimeGrid(0.0, 1.0, 1200), 128, 1,
+                          method="euler")
+        assert err.value.step == 1023
 
 
 class TestVerdicts:
