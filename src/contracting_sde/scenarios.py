@@ -195,6 +195,7 @@ def _build(kind: str, data: dict) -> _Run:
     g = top.obj("grid", {})
     with g.building():
         dt = g.get("dt", default_dt(c), float)
+        TimeGrid(0.0, dt, 0)  # checks dt before the default steps divide by it
         steps = g.get("steps", int(round((200.0 / c if kind == "gibbs" else 10.0) / dt)), int)
         grid = TimeGrid(t0=g.get("t0", 0.0, float), dt=dt, steps=steps)
     g.done()

@@ -5,8 +5,13 @@ checks for gradient drifts.
 Distances between equal-weight empirical measures are computed exactly: by
 the sorted-order formula in one dimension and by an optimal-assignment
 solve in general. For p = infinity the bottleneck assignment bisects the
-distances from the largest row or column minimum up, one Hopcroft-Karp
-matching per probe on a CSR threshold graph built directly, each row's
+distances between the largest row or column minimum and the largest
+diagonal distance max_i D[i, i]. Pairing sample i with sample i is a
+perfect matching whatever the order, so that diagonal bounds the answer
+from above; for the common-noise coupled clouds of ``wasserstein_series``
+it is often the answer, so the first probe is at the largest distance below
+it, and if that probe fails the solve is done. Each probe is one
+Hopcroft-Karp matching on a CSR threshold graph built directly, each row's
 columns in index order. A weighted norm maps both clouds through its
 Cholesky factor, so 1-D clouds keep the sorted formula. Problem size is
 capped at k = 2048 samples per measure.
@@ -108,14 +113,19 @@ def _bottleneck_assignment(D: np.ndarray) -> float:
     """Smallest threshold tau such that edges {D <= tau} admit a perfect matching.
 
     A perfect matching uses an edge of every row and column, so tau is at
-    least each row's and column's minimum; max D, the complete graph, needs
-    no probe. Each probe relabels rows and columns by ascending degree, so
-    that Hopcroft-Karp matches the scarcest vertices first.
+    least each row's and column's minimum. The identity pairing i -> i is a
+    perfect matching for any order of the rows, so tau is at most
+    max_i D[i, i], which needs no probe; for coupled samples it is often
+    tau itself. The first probe is at the largest candidate below that
+    bound: if it fails, the bound is tau; else the rest is bisected. Each
+    probe relabels rows and columns by ascending degree, so that
+    Hopcroft-Karp matches the scarcest vertices first.
     """
     import scipy.sparse.csgraph
 
     k = D.shape[0]
-    cands = np.unique(D[D >= max(D.min(axis=1).max(), D.min(axis=0).max())])
+    low = max(D.min(axis=1).max(), D.min(axis=0).max())
+    cands = np.unique(D[(D >= low) & (D <= np.diagonal(D).max())])
     lo, hi = 0, cands.shape[0] - 1
 
     def feasible(tau):
@@ -129,12 +139,13 @@ def _bottleneck_assignment(D: np.ndarray) -> float:
         match = scipy.sparse.csgraph.maximum_bipartite_matching(graph, perm_type="column")
         return int(np.count_nonzero(match >= 0)) == k
 
+    mid = hi - 1  # first probe: just below the diagonal bound
     while lo < hi:
-        mid = (lo + hi) // 2
         if feasible(cands[mid]):
             hi = mid
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
     return float(cands[lo])
 
 
@@ -164,6 +175,8 @@ class WassersteinScenario:
             raise InputError("initial clouds must have equal shape")
         if xs.shape[0] == 0:
             raise InputError("initial clouds are empty")
+        if xs.shape[0] < 2:  # W_p between two points is not a distributional distance
+            raise InputError(f"initial clouds need at least 2 samples, got {xs.shape[0]}")
         if xs.shape[0] > MAX_SAMPLES:
             raise CapacityError(
                 f"{xs.shape[0]} samples exceed the cap of {MAX_SAMPLES}"

@@ -172,6 +172,12 @@ class TestParseConfig:
             again = parse_config(cfg.serialize())
             assert again.data == cfg.data, path.name
 
+    def test_shipped_2d_bottleneck_config_holds(self, tmp_path):
+        cfg = parse_config((CONFIG_DIR / "wasserstein_bottleneck_2d.json").read_text(
+            encoding="utf-8"))
+        assert cfg.data["p"] == "inf" and cfg.data["cloud"]["k"] == 128
+        assert run_scenario(cfg, tmp_path / "bundle").holds
+
 
 class TestRunCommand:
     def test_tiny_run_holds_and_writes_bundle(self, tmp_path, capsys):
@@ -611,6 +617,16 @@ class TestBuildErrorsNameTheirObject:
          "could not convert string to float: 'x'"),
         (_tiny_wasserstein(cloud={"k": -5}), "cloud", "negative dimensions"),
         (_tiny_wasserstein(cloud={"k": 0}), "cloud", "initial clouds are empty"),
+        (_tiny_wasserstein(cloud={"k": 1}), "cloud", "initial clouds need at least 2 samples"),
+        (_tiny_wasserstein(system={"A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[1.0], [0.0]],
+                                   "Sigma": [[0.3, 0.0], [0.0, 0.3]]}, cloud={"k": 1}),
+         "cloud", "initial clouds need at least 2 samples"),
+        # dt is checked before the default steps divide by it
+        (_minimal_niss_pair(grid={"dt": 0}), "grid", "dt must be positive and finite"),
+        (_minimal_niss_pair(grid={"dt": 0, "steps": 5}), "grid", "dt must be positive and finite"),
+        (_minimal_niss_pair(grid={"dt": -0.01}), "grid", "dt must be positive and finite"),
+        (_minimal_niss_pair(grid={"dt": -0.01, "steps": 5}), "grid",
+         "dt must be positive and finite"),
     ])
     def test_constructor_error_is_a_config_error(self, tmp_path, capsys, monkeypatch, config,
                                                  obj, message):

@@ -207,8 +207,8 @@ class TestBottleneckOracle:
         D = _euclidean(X, rng.standard_normal((k, 2)))
         assert _bottleneck_assignment(D) == _lsa_bottleneck(D) == _row_col_bound(D)
 
-    @pytest.mark.parametrize("k", [8, 64, 200])
-    def test_matching_calls_bounded_by_the_bracket(self, k, monkeypatch):
+    @staticmethod
+    def _count_matchings(monkeypatch):
         calls = []
         matching = scipy.sparse.csgraph.maximum_bipartite_matching
 
@@ -217,11 +217,58 @@ class TestBottleneckOracle:
             return matching(*args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.csgraph, "maximum_bipartite_matching", counted)
+        return calls
+
+    @pytest.mark.parametrize("k", [8, 64, 200])
+    def test_matching_calls_bounded_by_the_bracket(self, k, monkeypatch):
+        calls = self._count_matchings(monkeypatch)
         rng = np.random.default_rng(400 + k)
         D = _euclidean(rng.standard_normal((k, 2)), rng.standard_normal((k, 2)) + 4.0)
         bracket = np.unique(D[D >= _row_col_bound(D)]).size
         assert _bottleneck_assignment(D) == _lsa_bottleneck(D)
         assert 0 < len(calls) <= math.ceil(math.log2(bracket)) + 1
+
+    @pytest.mark.parametrize("k", [8, 64, 200])
+    def test_translate_needs_no_probe(self, k, monkeypatch):
+        # Y = X + d puts every diagonal distance at |d|, the upper bound;
+        # W_inf >= W_1 >= |mean(Y) - mean(X)| = |d| makes it the answer.
+        # The sample of X lowest along d has no point of Y nearer than |d|,
+        # so the row-minimum bound meets it and no matching is probed
+        calls = self._count_matchings(monkeypatch)
+        X = np.random.default_rng(500 + k).integers(-10, 11, (k, 2)).astype(float)
+        D = _euclidean(X, X + [3.0, 4.0])
+        assert np.all(np.diagonal(D) == 5.0)
+        assert _bottleneck_assignment(D) == 5.0
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [8, 64, 200])
+    def test_optimal_pairing_takes_one_probe(self, k, monkeypatch):
+        # the monotone pairing of points on a line is optimal: x_i = i and
+        # y_i = i + e_i with e_i in [0.2, 0.5], except e_m = 0.6 and
+        # e_{m-1} = 0.5, so tau is D[m, m] = 0.6 while every row and column
+        # has an entry at most 0.5; the one probe, just below 0.6, fails
+        # and the solve ends
+        calls = self._count_matchings(monkeypatch)
+        m = k // 2
+        xs = np.arange(k, dtype=float)
+        ys = xs + np.random.default_rng(700 + k).uniform(0.2, 0.5, k)
+        ys[m - 1], ys[m] = m - 0.5, m + 0.6
+        D = _euclidean(np.c_[xs, np.zeros(k)], np.c_[ys, np.zeros(k)])
+        bound = _row_col_bound(D)
+        assert bound <= 0.5
+        assert np.unique(D[(D >= bound) & (D <= D[m, m])]).size > 4  # bisection would probe more
+        assert _bottleneck_assignment(D) == D[m, m] == _lsa_bottleneck(D)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [8, 64, 200])
+    def test_shuffled_pairing_is_bisected(self, k):
+        # permuting Y's rows puts the identity pairing far from optimal
+        rng = np.random.default_rng(600 + k)
+        X = rng.standard_normal((k, 2))
+        Y = (X + 0.1 * rng.standard_normal((k, 2)))[rng.permutation(k)]
+        D = _euclidean(X, Y)
+        assert _lsa_bottleneck(D) < np.diagonal(D).max()
+        assert _bottleneck_assignment(D) == _lsa_bottleneck(D)
 
 
 class TestMetricProperties:
@@ -442,6 +489,15 @@ class TestWassersteinSeries:
             # by default distances are measured in the system's metric
             _, w_default, _ = wasserstein_series(sc, p, master_seed=4)
             np.testing.assert_array_equal(w_default, w_metric)
+
+    def test_one_sample_clouds_are_rejected(self):
+        sys = _scalar_ou_system()
+        with pytest.raises(InputError, match="at least 2 samples, got 1"):
+            WassersteinScenario(
+                sys_x=sys, sys_y=sys, x0_samples=np.zeros((1, 1)), y0_samples=np.ones((1, 1)),
+                u_x=InputSignal.constant([0.0]), u_y=InputSignal.constant([0.0]),
+                grid=TimeGrid(0.0, 1e-2, 10),
+            )
 
     def test_cloud_shape_mismatch(self):
         sys = _scalar_ou_system()
