@@ -323,6 +323,9 @@ def _gibbs_potential(f: _Fields):
     kind = f.get("kind")
     if kind == "quadratic":
         cpot = f.get("c", 1.0, float)
+        if not (math.isfinite(cpot) and cpot > 0.0):  # before default_dt(c) divides by it
+            raise ConfigError(f"invalid potential field 'c': the curvature must be "
+                              f"positive and finite, got {cpot!r}")
         pot = (lambda x: 0.5 * cpot * x * x), (lambda x: cpot * x), cpot
     elif kind == "quartic":
         pot = (lambda x: 0.25 * x**4), (lambda x: x**3), 1.0

@@ -12,9 +12,12 @@ from above; for the common-noise coupled clouds of ``wasserstein_series``
 it is often the answer, so the first probe is at the largest distance below
 it, and if that probe fails the solve is done. Each probe is one
 Hopcroft-Karp matching on a CSR threshold graph built directly, each row's
-columns in index order. A weighted norm maps both clouds through its
-Cholesky factor, so 1-D clouds keep the sorted formula. Problem size is
-capped at k = 2048 samples per measure.
+columns in index order; a probe that finds a perfect matching lowers the
+upper end to that matching's largest distance, and the probe after a
+successful first one is at the lower end. l2 distances are summed
+coordinate by coordinate, with no (k, k, n) difference tensor. A weighted
+norm maps both clouds through its Cholesky factor, so 1-D clouds keep the
+sorted formula. Problem size is capped at k = 2048 samples per measure.
 """
 
 from __future__ import annotations
@@ -76,9 +79,22 @@ def _pairwise_norms(X: np.ndarray, Y: np.ndarray, norm) -> np.ndarray:
     if isinstance(norm, Metric):
         X, Y = X @ norm.chol, Y @ norm.chol
         norm = "l2"
+    if norm == "l2":  # coordinate by coordinate: no (k, k, n) difference tensor
+        def sq_sum(js):
+            out = (X[:, js[0], None] - Y[None, :, js[0]]) ** 2
+            for j in js[1:]:
+                out += (X[:, j, None] - Y[None, :, j]) ** 2
+            return out
+
+        # even and odd coordinates summed apart, then added: the order of
+        # numpy's two-lane einsum reduction, so for n <= 7 the distances are
+        # bit for bit those of the einsum form
+        n = X.shape[1]
+        out = sq_sum(range(0, n, 2))
+        if n > 1:
+            out += sq_sum(range(1, n, 2))
+        return np.sqrt(out, out=out)
     diff = X[:, None, :] - Y[None, :, :]
-    if norm == "l2":
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     if norm == "l1":
         return np.abs(diff).sum(axis=2)
     if norm == "linf":
@@ -117,9 +133,14 @@ def _bottleneck_assignment(D: np.ndarray) -> float:
     perfect matching for any order of the rows, so tau is at most
     max_i D[i, i], which needs no probe; for coupled samples it is often
     tau itself. The first probe is at the largest candidate below that
-    bound: if it fails, the bound is tau; else the rest is bisected. Each
-    probe relabels rows and columns by ascending degree, so that
-    Hopcroft-Karp matches the scarcest vertices first.
+    bound: if it fails, the bound is tau. A probe that finds a perfect
+    matching moves the upper end of the bracket to that matching's largest
+    distance, which is at most the probe's threshold. After a first probe
+    that succeeds, the next is at the lower bound; the rest is bisected.
+    Each probe's graph comes from ``_threshold_csr``, rows and columns
+    relabelled by ascending degree so that Hopcroft-Karp matches the
+    scarcest vertices first, its row pointers in one int32 ``indptr``
+    allocated per solve.
     """
     import scipy.sparse.csgraph
 
@@ -127,26 +148,47 @@ def _bottleneck_assignment(D: np.ndarray) -> float:
     low = max(D.min(axis=1).max(), D.min(axis=0).max())
     cands = np.unique(D[(D >= low) & (D <= np.diagonal(D).max())])
     lo, hi = 0, cands.shape[0] - 1
+    indptr = np.zeros(k + 1, np.int32)
+    col_ids = np.broadcast_to(np.arange(k, dtype=np.int32), (k, k))
 
-    def feasible(tau):
-        mask = D <= tau
-        deg = np.count_nonzero(mask, axis=1)
-        rows = np.argsort(deg, kind="stable")
-        cols = np.argsort(np.count_nonzero(mask, axis=0), kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(deg[rows]))).astype(np.int32)
-        indices = (np.flatnonzero(mask[rows][:, cols]) % k).astype(np.int32)
+    def matched_max(tau):
+        """The largest distance of a perfect matching in {D <= tau}, or None."""
+        rows, cols, indices = _threshold_csr(D, tau, indptr, col_ids)
         graph = scipy.sparse.csr_matrix((np.ones_like(indices, bool), indices, indptr), (k, k))
         match = scipy.sparse.csgraph.maximum_bipartite_matching(graph, perm_type="column")
-        return int(np.count_nonzero(match >= 0)) == k
+        if np.any(match < 0):
+            return None
+        return D[rows, cols[match]].max()
 
-    mid = hi - 1  # first probe: just below the diagonal bound
+    mid, first = hi - 1, True  # first probe: just below the diagonal bound
     while lo < hi:
-        if feasible(cands[mid]):
-            hi = mid
-        else:
+        top = matched_max(cands[mid])
+        if top is None:
             lo = mid + 1
-        mid = (lo + hi) // 2
+        else:  # the matching found bounds tau by its largest distance
+            hi = int(np.searchsorted(cands, top))
+        # a first probe that fails ends the solve; one that succeeds is
+        # followed by a probe at the lower bound
+        mid, first = (lo if first else (lo + hi) // 2), False
     return float(cands[lo])
+
+
+def _threshold_csr(D: np.ndarray, tau, indptr: np.ndarray, col_ids: np.ndarray):
+    """The graph {D <= tau} with rows and columns relabelled by ascending
+    degree, as CSR arrays with each row's columns in index order.
+
+    Writes the row pointers into ``indptr`` (int32, k + 1 entries, the
+    first 0) and returns (rows, cols, indices): relabelled row r is row
+    rows[r] of D, relabelled column c is column cols[c], and ``indices``
+    are taken from ``col_ids``, the int32 column ids 0..k-1 broadcast to
+    (k, k).
+    """
+    mask = D <= tau
+    deg = np.count_nonzero(mask, axis=1)
+    rows = np.argsort(deg, kind="stable")
+    cols = np.argsort(np.count_nonzero(mask, axis=0), kind="stable")
+    np.cumsum(deg[rows], out=indptr[1:])
+    return rows, cols, col_ids[mask.take(rows, 0).take(cols, 1)]
 
 
 def wasserstein_envelope(W0: float, c: float, ell: float, input_gap, t: float) -> float:

@@ -178,6 +178,24 @@ class TestParseConfig:
         assert cfg.data["p"] == "inf" and cfg.data["cloud"]["k"] == 128
         assert run_scenario(cfg, tmp_path / "bundle").holds
 
+    def test_shipped_2d_bottleneck_config_probe_count(self, tmp_path, monkeypatch):
+        # 21 W_inf solves at the config's seed: 139 matchings when only the
+        # bisection cut moved the bracket, 95 when each matching found does
+        import scipy.sparse.csgraph
+
+        calls = []
+        matching = scipy.sparse.csgraph.maximum_bipartite_matching
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return matching(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "maximum_bipartite_matching", counted)
+        cfg = parse_config((CONFIG_DIR / "wasserstein_bottleneck_2d.json").read_text(
+            encoding="utf-8"))
+        assert run_scenario(cfg, tmp_path / "bundle").holds
+        assert 0 < len(calls) <= 95
+
 
 class TestRunCommand:
     def test_tiny_run_holds_and_writes_bundle(self, tmp_path, capsys):
@@ -658,6 +676,24 @@ class TestGibbsKind:
         assert cert["stationary_variance_quadratic"] == 0.5
         rows = (bundle / "gibbs.csv").read_text(encoding="utf-8").splitlines()
         assert rows[0] == "x,density_model" and len(rows) == 2002
+
+    @pytest.mark.parametrize("potential, grid", [
+        # c = 0 used to reach default_dt(c) and fail as a division by zero
+        ({"kind": "quadratic", "c": 0}, {"dt": 0.01, "steps": 2000}),
+        ({"kind": "quadratic", "c": 0}, {}),
+        # c = -1 used to parse and then fail in the run on a math domain error
+        ({"kind": "quadratic", "c": -1.0}, {"dt": 0.01, "steps": 2000}),
+        ({"kind": "quadratic", "c": math.inf}, {"dt": 0.01, "steps": 2000}),
+    ])
+    def test_curvature_checked_at_parse(self, tmp_path, capsys, potential, grid):
+        config = _gibbs(potential=potential, grid=grid)
+        message = "invalid potential field 'c': the curvature must be positive and finite"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(config))
+        code = main(["run", _write(tmp_path, "bad.json", config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_diverging_chain_raises_and_leaves_no_bundle(self, tmp_path):
         cfg = parse_config(json.dumps(_gibbs(potential={"kind": "quartic"},

@@ -38,7 +38,8 @@ from contracting_sde import (
     wasserstein_envelope,
     wasserstein_series,
 )
-from contracting_sde.wasserstein import _bottleneck_assignment
+from contracting_sde import wasserstein
+from contracting_sde.wasserstein import _bottleneck_assignment, _pairwise_norms, _threshold_csr
 
 
 class TestWasserstein1d:
@@ -260,6 +261,80 @@ class TestBottleneckOracle:
         assert _bottleneck_assignment(D) == D[m, m] == _lsa_bottleneck(D)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("k", [8, 200])  # at k = 64 the bound meets the diagonal
+    def test_lower_bound_answer_takes_two_matchings(self, k, monkeypatch):
+        # the cloud of test_answer_at_the_row_column_bound: the first probe,
+        # below the diagonal bound, succeeds, so the next is at the lower
+        # bound, which is tau
+        calls = self._count_matchings(monkeypatch)
+        rng = np.random.default_rng(300 + k)
+        X = rng.standard_normal((k, 2))
+        X[0] = [60.0, 0.0]
+        D = _euclidean(X, rng.standard_normal((k, 2)))
+        bound = _row_col_bound(D)
+        assert np.unique(D[(D >= bound) & (D <= np.diagonal(D).max())]).size > 3
+        assert _bottleneck_assignment(D) == bound
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("k", [64, 200])
+    def test_matching_moves_the_bracket(self, k, monkeypatch):
+        # a perturbed translate: a feasible probe's matching has its largest
+        # distance below the probe's threshold, the bracket's upper end moves
+        # there, and every later probe lies below it
+        probes = []
+        build, matching = _threshold_csr, scipy.sparse.csgraph.maximum_bipartite_matching
+
+        def recorded_build(D, tau, indptr, col_ids):
+            rows, cols, indices = build(D, tau, indptr, col_ids)
+            probes.append([tau, rows, cols])
+            return rows, cols, indices
+
+        def recorded_matching(*args, **kwargs):
+            match = matching(*args, **kwargs)
+            probes[-1].append(match)
+            return match
+
+        monkeypatch.setattr(wasserstein, "_threshold_csr", recorded_build)
+        monkeypatch.setattr(scipy.sparse.csgraph, "maximum_bipartite_matching",
+                            recorded_matching)
+        rng = np.random.default_rng(800 + k)
+        X = rng.standard_normal((k, 2))
+        D = _euclidean(X, X + [3.0, 4.0] + 0.1 * rng.standard_normal((k, 2)))
+        assert _bottleneck_assignment(D) == _lsa_bottleneck(D)
+        moved = False
+        for i, (tau, rows, cols, match) in enumerate(probes):
+            if np.all(match >= 0):
+                top = D[rows, cols[match]].max()
+                assert top <= tau
+                assert all(later[0] < top for later in probes[i + 1:])
+                moved |= top < tau
+        assert moved
+
+    @pytest.mark.parametrize("k", [1, 2, 128])
+    def test_threshold_csr_equals_the_direct_build(self, k):
+        # the degree-relabelled CSR arrays as built before the lean build:
+        # fancy-index copies of the mask and flat positions modulo k
+        def reference(D, tau):
+            mask = D <= tau
+            deg = np.count_nonzero(mask, axis=1)
+            rows = np.argsort(deg, kind="stable")
+            cols = np.argsort(np.count_nonzero(mask, axis=0), kind="stable")
+            indptr = np.concatenate(([0], np.cumsum(deg[rows]))).astype(np.int32)
+            indices = (np.flatnonzero(mask[rows][:, cols]) % k).astype(np.int32)
+            return rows, cols, indptr, indices
+
+        rng = np.random.default_rng(900 + k)
+        D = _euclidean(rng.standard_normal((k, 2)), rng.standard_normal((k, 2)) + 0.5)
+        indptr = np.zeros(k + 1, np.int32)  # one buffer for every probe, as in a solve
+        col_ids = np.broadcast_to(np.arange(k, dtype=np.int32), (k, k))
+        taus = [D.min() - 1.0, D.max(), *rng.choice(D.ravel(), 20), *rng.uniform(0, D.max(), 20)]
+        for tau in taus:
+            rows, cols, indices = _threshold_csr(D, tau, indptr, col_ids)
+            ref_rows, ref_cols, ref_indptr, ref_indices = reference(D, tau)
+            assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+            assert indptr.dtype == ref_indptr.dtype and np.array_equal(indptr, ref_indptr)
+            assert indices.dtype == ref_indices.dtype and np.array_equal(indices, ref_indices)
+
     @pytest.mark.parametrize("k", [8, 64, 200])
     def test_shuffled_pairing_is_bisected(self, k):
         # permuting Y's rows puts the identity pairing far from optimal
@@ -269,6 +344,34 @@ class TestBottleneckOracle:
         D = _euclidean(X, Y)
         assert _lsa_bottleneck(D) < np.diagonal(D).max()
         assert _bottleneck_assignment(D) == _lsa_bottleneck(D)
+
+
+def _einsum_l2(X, Y):
+    """l2 distances as computed before the coordinate loop."""
+    diff = X[:, None, :] - Y[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+class TestPairwiseNorms:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_l2_equals_the_einsum_form(self, n):
+        rng = np.random.default_rng(40 + n)
+        for k in (2, 37, 128):
+            X = 30.0 * rng.standard_normal((k, n))
+            Y = rng.standard_normal((k, n)) + rng.uniform(-5.0, 5.0, n)
+            assert np.array_equal(_pairwise_norms(X, Y, "l2"), _einsum_l2(X, Y))
+            G = rng.standard_normal((n, n))
+            m = validate_metric(G @ G.T + n * np.eye(n))
+            assert not np.array_equal(m.chol, np.eye(n))
+            assert np.array_equal(_pairwise_norms(X, Y, m), _einsum_l2(X @ m.chol, Y @ m.chol))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_l1_and_linf_are_the_difference_tensor_reductions(self, n):
+        rng = np.random.default_rng(50 + n)
+        X, Y = rng.standard_normal((37, n)), 4.0 * rng.standard_normal((37, n))
+        diff = X[:, None, :] - Y[None, :, :]
+        assert np.array_equal(_pairwise_norms(X, Y, "l1"), np.abs(diff).sum(axis=2))
+        assert np.array_equal(_pairwise_norms(X, Y, "linf"), np.abs(diff).max(axis=2))
 
 
 class TestMetricProperties:
