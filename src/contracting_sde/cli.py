@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--paths", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--alpha", default=None, help="fixed alpha in (0,1) or 'opt'")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=int, default=None,
+                       help="accepted and ignored: paths run serially in fixed chunks")
     p_run.add_argument("--dry-run", action="store_true")
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=_cmd_run)

@@ -28,7 +28,6 @@ matrix product may round differently for another number of rows.
 
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 import math
 import warnings
@@ -62,7 +61,7 @@ class Trajectory:
         return self.grid.times()
 
 
-CHUNK_SIZE = 512  # paths per chunk; fixed so results do not depend on n_workers
+CHUNK_SIZE = 512  # paths per chunk: bounds a chunk's draw memory and fixes the merge order
 
 
 _STEP_BLOCK = 128  # steps per sub-block; a chunk's step-major buffers stay in cache
@@ -140,14 +139,10 @@ def _finite_steps(blocks, step, start):
     return S, None
 
 
-def _run_chunks(worker, n_paths, n_workers):
-    """worker(start, count) over fixed-size chunks of paths; results in chunk order."""
-    jobs = [(s, min(CHUNK_SIZE, n_paths - s)) for s in range(0, n_paths, CHUNK_SIZE)]
-    if n_workers <= 1:
-        return [worker(s, c) for s, c in jobs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as ex:
-        futures = [ex.submit(worker, s, c) for s, c in jobs]
-        return [f.result() for f in futures]
+def _chunks(n_paths):
+    """The (start, count) of each fixed-size chunk of paths, in order."""
+    for s in range(0, n_paths, CHUNK_SIZE):
+        yield s, min(CHUNK_SIZE, n_paths - s)
 
 
 def _warn_step_size(sys: SystemSpec, grid: TimeGrid, stacklevel: int = 3):
@@ -179,7 +174,7 @@ def _check_input_process(noise, sys: SystemSpec, xi0, grid: TimeGrid, unsafe: bo
     if noise.dim != sys.input_dim:
         raise InputError("noise dimension does not match system input dimension")
     if isinstance(noise, JDParams):
-        u0 = np.asarray(xi0, dtype=float).reshape(noise.dim)
+        u0 = _block(xi0, noise.dim)[0]
         if np.any(u0 <= 0.0) or np.any(u0 >= noise.a):
             raise ConfigError("JD initial input must lie inside (0, a)")
         margin = feller_check(noise, grid.times())["margin"]
@@ -406,8 +401,12 @@ def _collect(blocks, steps):
 
 
 def _block(v, dim, count=1):
-    """``count`` copies of the vector v as a contiguous (count, dim) block."""
-    return np.broadcast_to(np.asarray(v, dtype=float).reshape(dim), (count, dim)).copy()
+    """``count`` copies of the vector v as a contiguous (count, dim) block;
+    InputError unless v has ``dim`` components."""
+    v = np.asarray(v, dtype=float)
+    if v.size != dim:
+        raise InputError(f"initial vector has {v.size} components; expected {dim}")
+    return np.broadcast_to(v.reshape(dim), (count, dim)).copy()
 
 
 def default_dt(c: float) -> float:

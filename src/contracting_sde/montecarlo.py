@@ -17,9 +17,10 @@ dimension an ensemble path is therefore bit-identical to the single-path
 run of the same lineage and to stepping the drift and dispersion closures
 of the same system one step at a time; for n >= 2 these agree to within
 1e-14 relative, because BLAS may round a matrix product differently for a
-different number of rows. Ensembles are processed in fixed-size chunks
-whose partial sums are merged in chunk order, which makes results
-independent of the worker count.
+different number of rows. Ensembles run serially in fixed-size chunks,
+which bound the memory of each chunk's draws; their sums are added in
+chunk order, so a result depends only on the seed and the inputs. The
+estimators' ``n_workers`` argument is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .integrate import (
     _cascade_blocks,
     _check_cascade,
     _check_pair,
-    _run_chunks,
+    _chunks,
 )
 from .noise import JDParams, OUParams, _ou_exact_coeffs
 
@@ -100,33 +101,27 @@ class CascadeScenario:
     unsafe: bool = False
 
 
-def _moments(grid, n_paths, n_workers, blocks, norm_sq):
+def _moments(grid, n_paths, blocks, norm_sq):
     """MomentSeries of the squared norms over n_paths paths, in chunks.
 
     ``blocks(start, count)`` yields the (k, views) runs of a chunk (see
     ``integrate._blocks``) and ``norm_sq(k, views)`` gives their
     step-major (S, N) squared norms. Each step's sums are row sums over
     contiguous rows, the same pairwise sums as summing that step's (N,)
-    vector alone; the chunks' sums are merged in chunk order.
+    vector alone; each chunk's sums are added in chunk order.
     """
     if n_paths < 100:
         raise InputError("n_paths must be >= 100")
-
-    def worker(start, count):
-        ps, pq = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
+    total, total_sq = np.zeros(grid.steps + 1), np.zeros(grid.steps + 1)
+    for start, count in _chunks(n_paths):
         for k, views in blocks(start, count):
             # as in the kernel: the squares of a diverging path may overflow
             # before its DivergenceError is raised
             with np.errstate(over="ignore", invalid="ignore"):
                 sq = norm_sq(k, views)
-                ps[k:k + len(sq)] = sq.sum(axis=1)
+                total[k:k + len(sq)] += sq.sum(axis=1)
                 sq *= sq
-                pq[k:k + len(sq)] = sq.sum(axis=1)
-        return ps, pq
-
-    partials = _run_chunks(worker, n_paths, n_workers)
-    total = sum(ps for ps, _ in partials)
-    total_sq = sum(pq for _, pq in partials)
+                total_sq[k:k + len(sq)] += sq.sum(axis=1)
     mean = total / n_paths
     # SE of the mean from streamed sums; equals the jackknife SE for a mean
     var = np.clip(total_sq - n_paths * mean**2, 0.0, None) / max(n_paths - 1, 1)
@@ -153,7 +148,7 @@ def pair_error_moment(
                        rows, sc.grid, master_seed, start, common=sc.mode is CouplingMode.COMMON)
 
     norm_sq = lambda k, xy: sc.sys_x.metric.batch_norm_sq(xy[0] - xy[1])
-    return _moments(sc.grid, n_paths, n_workers, blocks, norm_sq)
+    return _moments(sc.grid, n_paths, blocks, norm_sq)
 
 
 def _x_star_batch(eq_map: EquilibriumMap, U: np.ndarray, n: int) -> np.ndarray:
@@ -201,7 +196,7 @@ def tracking_error_moment(
             e = x - _x_star_batch(eq_map, u.reshape(-1, noise.dim), n).reshape(x.shape)
         return sys.metric.batch_norm_sq(e)
 
-    return _moments(grid, n_paths, n_workers, blocks, norm_sq)
+    return _moments(grid, n_paths, blocks, norm_sq)
 
 
 def ou_moment(
@@ -233,7 +228,7 @@ def ou_moment(
         return _blocks([], [], [], grid, master_seed, start, drive=drive)
 
     norm_sq = lambda k, xs: np.einsum("kbi,kbi->kb", xs[0], xs[0])
-    return _moments(grid, n_paths, n_workers, blocks, norm_sq)
+    return _moments(grid, n_paths, blocks, norm_sq)
 
 
 def check_envelope(series: MomentSeries, env: Envelope, alpha_policy) -> Verdict:

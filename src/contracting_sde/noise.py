@@ -12,7 +12,7 @@ paths are independent work items.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,10 +62,9 @@ class OUParams:
 class JDParams:
     """d u = -c (u - theta(t)) dt + sigma_u diag(u (a - u))^(1/2) dB on (0, a).
 
-    Construction evaluates the boundary-nonattainment condition on
-    ``feller_t_samples`` into ``feller_holds`` and ``feller_margin``. A run
-    checks it at every time of its grid and refuses to start where it fails,
-    unless ``unsafe=True`` was passed explicitly.
+    A run checks the boundary-nonattainment condition (``feller_check``) at
+    every time of its grid and refuses to start where it fails, unless
+    ``unsafe=True`` was passed explicitly.
     """
 
     c: float
@@ -73,9 +72,6 @@ class JDParams:
     sigma_u: float
     a: np.ndarray
     unsafe: bool = False
-    feller_t_samples: tuple = (0.0,)
-    feller_holds: bool = field(init=False, default=True)
-    feller_margin: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.c <= 0:
@@ -86,9 +82,6 @@ class JDParams:
         if np.any(a <= 0):
             raise InputError("JD upper bounds a must be positive")
         object.__setattr__(self, "a", a)
-        res = feller_check(self, self.feller_t_samples)
-        object.__setattr__(self, "feller_holds", res["holds"])
-        object.__setattr__(self, "feller_margin", res["margin"])
 
     @property
     def dim(self) -> int:

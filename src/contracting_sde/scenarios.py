@@ -173,7 +173,6 @@ class _Run:
     eq: Optional[EquilibriumMap] = None  # a tracking run's equilibrium map
     seed: int = 0
     n_paths: int = 0
-    n_workers: int = 1
     alpha: Union[str, float, None] = None  # a moment run's alpha policy
     p: Union[str, float, None] = None  # the W_p order as written: a number >= 1 or "inf"
 
@@ -208,7 +207,7 @@ def _build(kind: str, data: dict) -> _Run:
             indent=2, sort_keys=True)
         return _Run(kind, grid, certificate, (*potential, sigma), seed=seed)
 
-    workers = top.get("n_workers", 1, int)
+    top.get("n_workers", 1, int)  # accepted, with no effect: chunks run serially
     if kind == "wasserstein":
         n = sys.state_dim
         u_x, u_y = _signal(top, "input_x", sys), _signal(top, "input_y", sys)
@@ -225,7 +224,7 @@ def _build(kind: str, data: dict) -> _Run:
         if p != "inf" and not (_is_number(p) and p >= 1.0):
             raise ConfigError(f"'p' must be a number >= 1 or \"inf\", got {p!r}")
         top.done()
-        return _Run(kind, grid, sys.certificate.to_json, sc, seed=seed, n_workers=workers, p=p)
+        return _Run(kind, grid, sys.certificate.to_json, sc, seed=seed, p=p)
     n_paths = top.get("n_paths", 10_000, int)
     alpha = top.get("alpha_policy", "opt")
     if alpha != "opt" and not (_is_number(alpha) and 0.0 < alpha < 1.0):
@@ -233,7 +232,7 @@ def _build(kind: str, data: dict) -> _Run:
     sc, eq = _moment_scenario(kind, top, sys, grid)
     top.done()
     return _Run(kind, grid, sys.certificate.to_json, sc, eq, seed=seed, n_paths=n_paths,
-                n_workers=workers, alpha=alpha)
+                alpha=alpha)
 
 
 def _moment_scenario(kind: str, top: _Fields, sys: SystemSpec, grid: TimeGrid):
@@ -417,11 +416,10 @@ def _run_moments(run: _Run, out_dir: Path) -> Verdict:
     env = bnd.make_envelope("niss_two_traj" if run.kind == "niss_pair" else run.kind,
                             _bound_params(run.kind, sc, eq))
     if eq is None:
-        series = pair_error_moment(sc, run.n_paths, run.seed, n_workers=run.n_workers)
+        series = pair_error_moment(sc, run.n_paths, run.seed)
     else:
         target = "stochastic_curve" if run.kind.endswith("sisc") else "deterministic_curve"
-        series = tracking_error_moment(sc, eq, target, run.n_paths, run.seed,
-                                       n_workers=run.n_workers)
+        series = tracking_error_moment(sc, eq, target, run.n_paths, run.seed)
     times = series.times()
     # a fixed policy's alpha has the fixed column; "opt" judges the optimized one
     opt = run.alpha == "opt"
@@ -445,7 +443,7 @@ def _run_moments(run: _Run, out_dir: Path) -> Verdict:
 def _run_wasserstein(run: _Run, out_dir: Path) -> Verdict:
     sc = run.scenario
     p = math.inf if run.p == "inf" else float(run.p)
-    times, w_emp, env = wasserstein_series(sc, p, run.seed, n_workers=run.n_workers)
+    times, w_emp, env = wasserstein_series(sc, p, run.seed)
     verdict = _wasserstein_verdict(times, w_emp, env, sc.k)
     _write_csv([out_dir / "wasserstein.csv", out_dir / "plotdata.csv"],
                ["t", "w_p_empirical", "envelope"], (times, w_emp, env))

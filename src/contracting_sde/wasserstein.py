@@ -30,7 +30,7 @@ import numpy as np
 from .bounds import decay_convolution
 from .core import InputSignal, Metric, SystemSpec, TimeGrid, _row_norm_sq
 from .errors import CapabilityError, CapacityError, DomainError, InputError
-from .integrate import CouplingMode, _blocks, _check_pair, _run_chunks
+from .integrate import CouplingMode, _blocks, _check_pair, _chunks
 from .montecarlo import Verdict
 
 MAX_SAMPLES = 2048
@@ -223,6 +223,10 @@ class WassersteinScenario:
             raise CapacityError(
                 f"{xs.shape[0]} samples exceed the cap of {MAX_SAMPLES}"
             )
+        n, nx, ny = xs.shape[1], self.sys_x.state_dim, self.sys_y.state_dim
+        if n != nx or n != ny:
+            raise InputError(f"initial clouds have {n} columns; the systems' "
+                             f"state dimensions are {nx} and {ny}")
         object.__setattr__(self, "x0_samples", xs)
         object.__setattr__(self, "y0_samples", ys)
 
@@ -253,7 +257,8 @@ def wasserstein_series(
     state-independent dispersion and share the common Brownian source; each
     path pair i is driven by the stream keyed (master_seed, i). Distances
     are measured in ``norm``, by default the first system's metric, in
-    which the envelope's c and ell are certified.
+    which the envelope's c and ell are certified. ``n_workers`` is accepted
+    and has no effect.
     """
     sc = scenario
     norm = sc.sys_x.metric if norm is None else norm
@@ -271,21 +276,13 @@ def wasserstein_series(
     ux_path = sc.u_x.values(times)
     uy_path = sc.u_y.values(times)
 
-    def worker(start, count):
-        xs_ck = np.empty((idx.shape[0], count, sc.x0_samples.shape[1]))
-        ys_ck = np.empty_like(xs_ck)
-        blocks = _blocks(
-            [sc.sys_x, sc.sys_y],
-            [sc.x0_samples[start:start + count], sc.y0_samples[start:start + count]],
-            [ux_path, uy_path], grid, master_seed, start, common=True)
-        for k, (x, y) in blocks:
-            a, b = np.searchsorted(idx, [k, k + len(x)])
-            xs_ck[a:b], ys_ck[a:b] = x[idx[a:b] - k], y[idx[a:b] - k]
-        return xs_ck, ys_ck
-
-    parts = _run_chunks(worker, sc.k, n_workers)
-    clouds_x = np.concatenate([px for px, _ in parts], axis=1)
-    clouds_y = np.concatenate([py for _, py in parts], axis=1)
+    clouds_x = np.empty((idx.shape[0],) + sc.x0_samples.shape)  # (checkpoints, k, n)
+    clouds_y = np.empty_like(clouds_x)
+    for start, count in _chunks(sc.k):
+        paths = slice(start, start + count)
+        _fill_clouds((clouds_x, clouds_y), idx, paths, _blocks(
+            [sc.sys_x, sc.sys_y], [sc.x0_samples[paths], sc.y0_samples[paths]],
+            [ux_path, uy_path], grid, master_seed, start, common=True))
 
     c, ell = sc.sys_x.certificate.c_hat, sc.sys_x.certificate.ell_hat
     gap = lambda ts: np.sqrt(_row_norm_sq(sc.u_x.value(ts) - sc.u_y.value(ts)))
@@ -297,6 +294,17 @@ def wasserstein_series(
         wasserstein_envelope(W0, c, ell, gap, times[j] - grid.t0) for j in idx
     ])
     return times[idx], w_emp, env
+
+
+def _fill_clouds(clouds, idx, paths, blocks):
+    """Copy the states at the checkpoint steps ``idx`` from each system's
+    views yielded by ``blocks`` into the columns ``paths`` of its
+    (checkpoints, k, n) cloud. The chunk's step buffers, which the views
+    keep alive, are released on return."""
+    for k, views in blocks:
+        a, b = np.searchsorted(idx, [k, k + len(views[0])])
+        for cloud, v in zip(clouds, views):
+            cloud[a:b, paths] = v[idx[a:b] - k]
 
 
 def _cloud_distance(X, Y, p, norm):
@@ -315,11 +323,9 @@ def verify_wasserstein_contraction(
     norm=None,
     n_workers: int = 1,
 ) -> Verdict:
-    """Check empirical W_p <= envelope * (1 + 2/sqrt(k)) at every checkpoint."""
-    series = wasserstein_series(
-        scenario, p, master_seed, checkpoints=checkpoints, norm=norm,
-        n_workers=n_workers,
-    )
+    """Check empirical W_p <= envelope * (1 + 2/sqrt(k)) at every checkpoint;
+    ``n_workers`` is accepted and has no effect."""
+    series = wasserstein_series(scenario, p, master_seed, checkpoints=checkpoints, norm=norm)
     return _wasserstein_verdict(*series, scenario.k)
 
 

@@ -33,6 +33,7 @@ from contracting_sde import (
     check_envelope,
     compare_to_bound,
     euler_maruyama,
+    feller_check,
     gibbs_check,
     identity_metric,
     jd_step_with_flag,
@@ -204,7 +205,8 @@ def test_criterion_06_jacobi_diffusion_positivity_and_tracking():
     envelopes at their optimized alphas + 3 SE."""
     theta = InputSignal.constant([0.5])
     noise = JDParams(c=1.0, theta=theta, sigma_u=math.sqrt(0.5), a=[1.0])
-    assert noise.feller_holds and noise.feller_margin == pytest.approx(0.25)
+    feller = feller_check(noise, [0.0])
+    assert feller["holds"] and feller["margin"] == pytest.approx(0.25)
 
     rng = RngLineage(66, 0).stream()
     u = np.array([0.5])

@@ -1,7 +1,8 @@
 """The package loads no scipy: importing it, parsing and certifying every
 shipped config, and running a moment kind, ``gibbs`` and a 1-D
 ``wasserstein`` config leave scipy unloaded. The 2-D assignment and
-bottleneck W_p solvers load it on their first call."""
+bottleneck W_p solvers load it on their first call. Chunks run serially,
+so those runs load no ``concurrent`` module either."""
 
 import json
 import os
@@ -40,11 +41,12 @@ runs = {
 for name, data in runs.items():
     cs.run_scenario(cs.parse_config(json.dumps(data)), out / name)
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+concurrent = sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")
 rng = np.random.default_rng(0)
 mx, my = (cs.EmpiricalMeasure(rng.normal(size=(32, 2))) for _ in range(2))
 w = [cs.wasserstein_assignment(mx, my, p) for p in (2, float("inf"))]
 after = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"before": before, "after": after, "w": w}))
+print(json.dumps({"before": before, "after": after, "w": w, "concurrent": concurrent}))
 """
 
 
@@ -55,6 +57,7 @@ def test_runs_without_a_2d_solve_load_no_scipy(tmp_path):
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["before"] == []
+    assert result["concurrent"] == []
     assert "scipy.optimize" in result["after"] and "scipy.sparse.csgraph" in result["after"]
     w2, winf = result["w"]
     assert 0.0 < w2 <= winf

@@ -10,25 +10,34 @@ import scipy.integrate
 import scipy.linalg
 
 from contracting_sde import (
+    CascadeScenario,
     Certificate,
     ConfigError,
     CouplingMode,
     DivergenceError,
+    EquilibriumMap,
+    InputError,
     InputSignal,
     JDParams,
     OUParams,
+    PairScenario,
     RngLineage,
     SystemSpec,
     TimeGrid,
+    WassersteinScenario,
     affine_system,
     default_dt,
     euler_maruyama,
+    feller_check,
     identity_metric,
     integrate_cascade,
     integrate_pair,
     ode_rk4,
+    ou_moment,
     ou_second_moment,
+    pair_error_moment,
     scalar_tracker,
+    tracking_error_moment,
 )
 
 ZERO = InputSignal.constant([0.0])
@@ -208,7 +217,7 @@ class TestIntegrateCascade:
         sys = scalar_tracker(1.0, 0.2)
         theta = InputSignal.sinusoid([0.45], offset=[0.5])
         noise = JDParams(c=1.0, theta=theta, sigma_u=0.7, a=[1.0])
-        assert noise.feller_margin == pytest.approx(0.255)
+        assert feller_check(noise, [0.0])["margin"] == pytest.approx(0.255)
         grid = TimeGrid(0.0, 1e-2, 200)
         with pytest.raises(ConfigError, match=r"Feller.*margin -0\.195"):
             integrate_cascade(noise, theta, sys, [0.5], [0.5], grid, RngLineage(0))
@@ -644,3 +653,40 @@ class TestDivergence:
         # y alone overflows first
         assert self._raise([sys, sys], [x0, self._x0([90, 90, 65])], 200,
                            common=mode is CouplingMode.COMMON) == (65, self.START + 2)
+
+
+def _wrong_size_calls():
+    """Entry points each given one initial vector or cloud of 2 components
+    for a 1-D system or input."""
+    sys, grid, lin = scalar_tracker(1.0, 0.2), TimeGrid(0.0, 1e-2, 5), RngLineage(0)
+    jd = JDParams(c=1.0, theta=InputSignal.constant([0.5]), sigma_u=0.5, a=[1.0])
+    ou = OUParams(c=1.0, sigma=0.3)
+    pair = lambda y0: PairScenario(sys, sys, [0.0], y0, ZERO, ZERO,
+                                   CouplingMode.INDEPENDENT, grid)
+    cascade = lambda x0, xi0: CascadeScenario(ou, ZERO, sys, x0, xi0, grid)
+    eq = EquilibriumMap.affine([[1.0]])
+    return {
+        "euler_maruyama": lambda: euler_maruyama(sys, [0.0, 1.0], ZERO, grid, lin),
+        "integrate_pair": lambda: integrate_pair(sys, sys, [0.0], [0.0, 1.0], ZERO, ZERO,
+                                                 CouplingMode.COMMON, grid, lin),
+        "integrate_cascade x0": lambda: integrate_cascade(ou, ZERO, sys, [0.0, 1.0], [0.0],
+                                                          grid, lin),
+        "integrate_cascade xi0": lambda: integrate_cascade(ou, ZERO, sys, [0.0], [0.0, 1.0],
+                                                           grid, lin),
+        "integrate_cascade JD u0": lambda: integrate_cascade(jd, jd.theta, sys, [0.0],
+                                                             [0.5, 0.5], grid, lin),
+        "pair_error_moment": lambda: pair_error_moment(pair([0.0, 1.0]), 100, 0),
+        "tracking_error_moment x0": lambda: tracking_error_moment(
+            cascade([0.0, 1.0], [0.0]), eq, "deterministic_curve", 100, 0),
+        "tracking_error_moment xi0": lambda: tracking_error_moment(
+            cascade([0.0], [0.0, 1.0]), eq, "stochastic_curve", 100, 0),
+        "ou_moment": lambda: ou_moment(ou, [0.0, 1.0], grid, 100, 0),
+        "WassersteinScenario": lambda: WassersteinScenario(
+            sys, sys, np.zeros((4, 2)), np.ones((4, 2)), ZERO, ZERO, grid),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_wrong_size_calls()))
+def test_wrong_initial_size_is_an_input_error(entry):
+    with pytest.raises(InputError, match=r"(2 components; expected 1|2 columns; the systems)"):
+        _wrong_size_calls()[entry]()

@@ -192,7 +192,7 @@ class TestFellerCheck:
         res = feller_check(p, [0.0])
         assert res["holds"]
         assert res["margin"] == pytest.approx(0.25, rel=1e-12)
-        assert p.feller_holds and p.feller_margin == pytest.approx(0.25, rel=1e-12)
+        assert feller_check(p, [0.0])["margin"] == pytest.approx(0.25, rel=1e-12)
 
     def test_zero_dispersion_margin(self):
         p = JDParams(c=1.0, theta=_const_theta(0.3), sigma_u=0.0, a=[1.0])
@@ -205,7 +205,7 @@ class TestFellerCheck:
         res = feller_check(p, [0.0])
         assert not res["holds"]
         assert res["margin"] < 0.0
-        assert not p.feller_holds
+        assert not feller_check(p, [0.0])["holds"]
 
     def test_empty_samples_rejected(self):
         p = JDParams(c=1.0, theta=_const_theta(0.5), sigma_u=0.1, a=[1.0])
