@@ -13,21 +13,7 @@ from .bounds import (
     decay_convolution,
     double_decay_convolution,
     make_envelope,
-    niss_two_traj,
-    niss_two_traj_tail,
-    niss_vs_ode,
-    niss_vs_ode_tail,
     optimize_alpha,
-    track_didc,
-    track_didc_tail,
-    track_jd_sidc,
-    track_jd_sidc_tail,
-    track_jd_sisc,
-    track_jd_sisc_tail,
-    track_ou_sidc,
-    track_ou_sidc_tail,
-    track_ou_sisc,
-    track_ou_sisc_tail,
 )
 from .contraction import (
     box_sampler,

@@ -1,15 +1,17 @@
 """Closed-form mean-square error envelopes.
 
+``make_envelope(kind, params)`` is the one way to evaluate an envelope.
 Every envelope is a function of time t and the Young-inequality split
 alpha in (0, 1): an exponential-decay term on the initial error, a noise
-floor, and convolved input terms. Internally each envelope is a list of
-terms (constants, exponentials, exact exponential convolutions, and
-convolutions against a user-supplied driving signal), which allows both a
-pointwise evaluation and an O(N) evaluation over a whole uniform grid.
+floor, and convolved input terms. Each kind is one list of terms
+(constants, exponentials, exact exponential convolutions, and convolutions
+against a user-supplied driving signal), summed by one evaluator.
 
-Signal convolutions at a single time use composite Simpson quadrature with
-refinement doubling (1e-8 relative change, capped); over a grid they use
-an exponential-trapezoid recursion of matching O(h^2) accuracy.
+The entry point, never the times, picks the quadrature of the signal
+convolutions: ``Envelope.eval`` uses composite Simpson at its time with
+refinement doubling (1e-8 relative change, capped), ``Envelope.eval_grid``
+an exponential-trapezoid recursion of matching O(h^2) accuracy in one pass
+over a uniform grid.
 
 The tail (t -> infinity) form of an envelope is the limit of its term
 list: the driving signal is replaced by its limsup, which gives the signal
@@ -22,8 +24,8 @@ horizon).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -68,26 +70,26 @@ class BoundParams:
     input_gap_sq_limsup: Optional[float] = None
 
     def __post_init__(self):
-        if self.c <= 0:
+        # a NaN constant gives a NaN envelope, and c = inf an envelope of 0
+        for name, v in vars(self).items():
+            if v is not None and not callable(v) and not 0.0 <= v < math.inf:
+                raise InputError(f"{name} must be finite and nonnegative, got {v}")
+        if self.c == 0:
             raise InputError("c must be positive")
-        for name in ("ell", "sigma_x_sq", "sigma_xi_sq", "sigma_u_sq",
-                     "a_norm_sq", "h_ou", "h_jd", "E0", "Exi0"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be nonnegative")
 
     def theta_dot_sq_tail(self) -> float:
-        if self.theta_dot_sq_limsup is not None:
-            return float(self.theta_dot_sq_limsup)
-        if callable(self.theta_dot_sq):
-            raise InputError("tail value of theta_dot_sq not supplied")
-        return float(self.theta_dot_sq)
+        return self._tail("theta_dot_sq")
 
     def input_gap_sq_tail(self) -> float:
-        if self.input_gap_sq_limsup is not None:
-            return float(self.input_gap_sq_limsup)
-        if callable(self.input_gap_sq):
-            raise InputError("tail value of input_gap_sq not supplied")
-        return float(self.input_gap_sq)
+        return self._tail("input_gap_sq")
+
+    def _tail(self, datum: str) -> float:
+        limsup = getattr(self, datum + "_limsup")
+        if limsup is not None:
+            return float(limsup)
+        if callable(getattr(self, datum)):
+            raise InputError(f"tail value of {datum} not supplied")
+        return float(getattr(self, datum))
 
 
 def _check_alpha(alpha, lo: float = 0.0):
@@ -161,8 +163,7 @@ def _conv_grid_values(gv: np.ndarray, rate: float, h: float) -> np.ndarray:
 
 
 def _expconv(r_out: float, r_in: float, t):
-    """integral_0^t e^{-r_out (t - tau)} e^{-r_in tau} d tau, exact."""
-    t = np.asarray(t, dtype=float)
+    """integral_0^t e^{-r_out (t - tau)} e^{-r_in tau} d tau, exact; t may be an array."""
     d = r_out - r_in
     if abs(d) < 1e-9 * max(abs(r_out), 1.0):
         return t * np.exp(-r_out * t)
@@ -201,24 +202,18 @@ def _dblconv_term(coef, r_out, r_in, g):
     return _floor(v / r_out, r_out) + [("expconv", -v, r_out, r_in)]
 
 
-def _terms_niss_two_traj(p: BoundParams, alpha: float):
+# two independently noised realizations, E||x_t - y_t||_P^2; against the
+# noiseless trajectory (niss_vs_ode) the noise floor halves
+def _terms_niss(p: BoundParams, alpha: float, floor_div: int = 1):
     c = p.c
     return (
         [("exp", p.E0, 2 * c * alpha)]
-        + _floor(p.sigma_x_sq / (c * alpha), 2 * c * alpha)
+        + _floor(p.sigma_x_sq / (floor_div * c * alpha), 2 * c * alpha)
         + _conv_term(p.ell**2 / (2 * c * (1 - alpha)), 2 * c * alpha, p.input_gap_sq)
     )
 
 
-def _terms_niss_vs_ode(p: BoundParams, alpha: float):
-    c = p.c
-    return (
-        [("exp", p.E0, 2 * c * alpha)]
-        + _floor(p.sigma_x_sq / (2 * c * alpha), 2 * c * alpha)
-        + _conv_term(p.ell**2 / (2 * c * (1 - alpha)), 2 * c * alpha, p.input_gap_sq)
-    )
-
-
+# tracking error under a deterministic input curve
 def _terms_track_didc(p: BoundParams, alpha: float):
     c = p.c
     return (
@@ -228,6 +223,9 @@ def _terms_track_didc(p: BoundParams, alpha: float):
     )
 
 
+# OU stochastic input, tracking the deterministic curve: the cascade halves
+# the decay rate to c*alpha and doubles the system noise floor relative to
+# the deterministic-input envelope
 def _terms_track_ou_sidc(p: BoundParams, alpha: float):
     c = p.c
     return (
@@ -238,6 +236,7 @@ def _terms_track_ou_sidc(p: BoundParams, alpha: float):
     )
 
 
+# OU stochastic input, tracking the stochastic curve x*(u_t)
 def _terms_track_ou_sisc(p: BoundParams, alpha: float):
     c = p.c
     ra = 2 * c * alpha
@@ -259,6 +258,8 @@ def _terms_track_ou_sisc(p: BoundParams, alpha: float):
     )
 
 
+# JD stochastic input, tracking the deterministic curve: the OU form with
+# the input-noise variance capped by the box, (|a|^2 / 4) sigma_u^2
 def _terms_track_jd_sidc(p: BoundParams, alpha: float):
     c = p.c
     return (
@@ -269,6 +270,7 @@ def _terms_track_jd_sidc(p: BoundParams, alpha: float):
     )
 
 
+# JD stochastic input, tracking the stochastic curve x*(u_t)
 def _terms_track_jd_sisc(p: BoundParams, alpha: float):
     c = p.c
     ra = 2 * c * alpha
@@ -290,8 +292,8 @@ def _terms_track_jd_sisc(p: BoundParams, alpha: float):
 
 
 _TERM_BUILDERS = {
-    "niss_two_traj": _terms_niss_two_traj,
-    "niss_vs_ode": _terms_niss_vs_ode,
+    "niss_two_traj": _terms_niss,
+    "niss_vs_ode": lambda p, alpha: _terms_niss(p, alpha, floor_div=2),
     "track_didc": _terms_track_didc,
     "track_ou_sidc": _terms_track_ou_sidc,
     "track_ou_sisc": _terms_track_ou_sisc,
@@ -304,147 +306,21 @@ _TERM_BUILDERS = {
 _TAIL_ALPHA_MIN = {"track_jd_sisc": 0.5}
 
 
-def _eval_terms(terms, t: float) -> float:
+def _eval_terms(terms, t, conv):
+    """The sum of a term list at t, a time or an array of times, clamped at
+    0; ``conv(g, *rates)`` is the quadrature of the (nested) signal terms."""
     total = 0.0
-    for term in terms:
-        tag = term[0]
+    for tag, v, *rest in terms:
         if tag == "const":
-            total += term[1]
+            total = total + v
         elif tag == "exp":
-            total += term[1] * math.exp(-term[2] * t)
+            total = total + v * np.exp(-rest[0] * t)
         elif tag == "expconv":
-            total += term[1] * float(_expconv(term[2], term[3], t))
-        elif tag == "conv":
-            total += term[1] * decay_convolution(term[3], term[2], t)
-        else:  # dblconv
-            total += term[1] * double_decay_convolution(term[4], term[2], term[3], t)
+            total = total + v * _expconv(rest[0], rest[1], t)
+        else:  # conv, dblconv: the rates, then the signal
+            total = total + v * conv(rest[-1], *rest[:-1])
     # the envelopes are nonnegative; clamp away cancellation residue
-    return max(total, 0.0)
-
-
-def _eval_terms_grid(terms, times: np.ndarray) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.shape[0] < 2:
-        return np.array([_eval_terms(terms, t) for t in times])
-    h = times[1] - times[0]
-    if times[0] != 0.0 or np.abs(np.diff(times) - h).max() > 1e-9 * h:
-        raise InputError("grid evaluation needs a uniform grid starting at 0")
-    total = np.zeros_like(times)
-    for term in terms:
-        tag = term[0]
-        if tag == "const":
-            total = total + term[1]
-        elif tag == "exp":
-            total = total + term[1] * np.exp(-term[2] * times)
-        elif tag == "expconv":
-            total = total + term[1] * _expconv(term[2], term[3], times)
-        elif tag == "conv":
-            gv = _as_fn(term[3])(times)
-            total = total + term[1] * _conv_grid_values(gv, term[2], h)
-        else:  # dblconv
-            gv = _as_fn(term[4])(times)
-            inner = _conv_grid_values(gv, term[3], h)
-            total = total + term[1] * _conv_grid_values(inner, term[2], h)
     return np.maximum(total, 0.0)
-
-
-def _envelope_value(kind: str, p: BoundParams, t: float, alpha: float) -> float:
-    _check_alpha(alpha)
-    return _eval_terms(_TERM_BUILDERS[kind](p, alpha), t)
-
-
-def _datum(kind: str) -> str:
-    """The BoundParams field whose signal drives the kind's convolution terms."""
-    return "theta_dot_sq" if kind.startswith("track") else "input_gap_sq"
-
-
-def _at_tail(kind: str, p: BoundParams) -> BoundParams:
-    """p with the kind's driving signal replaced by its tail value, which
-    gives the signal convolutions of the term list their closed forms."""
-    datum = _datum(kind)
-    tail = getattr(p, datum + "_tail")()
-    return p if getattr(p, datum) == tail else replace(p, **{datum: tail})
-
-
-def _tail_value(kind: str, p: BoundParams, alpha: float) -> float:
-    """The t -> infinity limit of the kind's term list: at the tail of the
-    driving signal every exp and expconv term decays to 0, leaving the sum
-    of the const terms."""
-    _check_alpha(alpha, _TAIL_ALPHA_MIN.get(kind, 0.0))
-    terms = _TERM_BUILDERS[kind](_at_tail(kind, p), alpha)
-    return sum(term[1] for term in terms if term[0] == "const")
-
-
-# ---------------------------------------------------------------------------
-# Named envelopes (finite-time and tail forms)
-
-
-def niss_two_traj(p: BoundParams, t: float, alpha: float) -> float:
-    """Envelope on E||x_t - y_t||_P^2 for two independently-noised realizations."""
-    return _envelope_value("niss_two_traj", p, t, alpha)
-
-
-def niss_two_traj_tail(p: BoundParams, alpha: float) -> float:
-    return _tail_value("niss_two_traj", p, alpha)
-
-
-def niss_vs_ode(p: BoundParams, t: float, alpha: float) -> float:
-    """As niss_two_traj, with the noise floor halved (one noisy trajectory)."""
-    return _envelope_value("niss_vs_ode", p, t, alpha)
-
-
-def niss_vs_ode_tail(p: BoundParams, alpha: float) -> float:
-    return _tail_value("niss_vs_ode", p, alpha)
-
-
-def track_didc(p: BoundParams, t: float, alpha: float) -> float:
-    """Tracking error envelope under a deterministic input curve."""
-    return _envelope_value("track_didc", p, t, alpha)
-
-
-def track_didc_tail(p: BoundParams, alpha: float) -> float:
-    return _tail_value("track_didc", p, alpha)
-
-
-def track_ou_sidc(p: BoundParams, t: float, alpha: float) -> float:
-    """OU stochastic input, tracking the deterministic curve.
-
-    The cascade construction halves the decay rate to c*alpha and doubles
-    the system noise floor relative to the deterministic-input envelope.
-    """
-    return _envelope_value("track_ou_sidc", p, t, alpha)
-
-
-def track_ou_sidc_tail(p: BoundParams, alpha: float) -> float:
-    return _tail_value("track_ou_sidc", p, alpha)
-
-
-def track_ou_sisc(p: BoundParams, t: float, alpha: float) -> float:
-    """OU stochastic input, tracking the stochastic curve x*(u_t)."""
-    return _envelope_value("track_ou_sisc", p, t, alpha)
-
-
-def track_ou_sisc_tail(p: BoundParams, alpha: float) -> float:
-    return _tail_value("track_ou_sisc", p, alpha)
-
-
-def track_jd_sidc(p: BoundParams, t: float, alpha: float) -> float:
-    """JD stochastic input, tracking the deterministic curve."""
-    return _envelope_value("track_jd_sidc", p, t, alpha)
-
-
-def track_jd_sidc_tail(p: BoundParams, alpha: float) -> float:
-    return _tail_value("track_jd_sidc", p, alpha)
-
-
-def track_jd_sisc(p: BoundParams, t: float, alpha: float) -> float:
-    """JD stochastic input, tracking the stochastic curve x*(u_t)."""
-    return _envelope_value("track_jd_sisc", p, t, alpha)
-
-
-def track_jd_sisc_tail(p: BoundParams, alpha: float) -> float:
-    """Tail form of the JD stochastic-curve envelope; valid only for alpha >= 1/2."""
-    return _tail_value("track_jd_sisc", p, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +344,55 @@ class Envelope:
 
 
 def make_envelope(kind: str, params: BoundParams) -> Envelope:
-    """Bind one of the named envelopes to a parameter set."""
+    """Bind an envelope kind to a parameter set. Each kind bounds an
+    expected squared error:
+
+    - ``niss_two_traj``: between two independently noised realizations;
+    - ``niss_vs_ode``: between a noisy realization and the noiseless one;
+    - ``track_didc``: from x*(theta_t), for a deterministic input curve;
+    - ``track_ou_sidc`` / ``track_ou_sisc``: under OU input noise, from the
+      deterministic curve x*(theta_t) / the stochastic curve x*(u_t);
+    - ``track_jd_sidc`` / ``track_jd_sisc``: the same under a bounded
+      Jacobi-type input diffusion; the ``track_jd_sisc`` tail holds only
+      for alpha >= 1/2.
+    """
     if kind not in _TERM_BUILDERS:
         raise InputError(f"unknown envelope kind '{kind}'")
-    datum = _datum(kind)
-    has_tail = (getattr(params, datum + "_limsup") is not None
-                or not callable(getattr(params, datum)))
+    build = _TERM_BUILDERS[kind]
 
-    def _eval_grid(times, alpha):
+    def at_time(t, alpha):
         _check_alpha(alpha)
-        return _eval_terms_grid(_TERM_BUILDERS[kind](params, alpha), times)
+        conv = lambda g, *rates: (decay_convolution if len(rates) == 1
+                                  else double_decay_convolution)(g, *rates, t)
+        return float(_eval_terms(build(params, alpha), t, conv))
 
-    limsup = partial(_tail_value, kind, _at_tail(kind, params)) if has_tail else None
-    return Envelope(eval=partial(_envelope_value, kind, params), limsup=limsup,
-                    kind=kind, eval_grid=_eval_grid)
+    def on_grid(times, alpha):
+        _check_alpha(alpha)
+        times = np.asarray(times, dtype=float)
+        if times.shape[0] < 2:
+            return np.array([at_time(t, alpha) for t in times])
+        h = times[1] - times[0]
+        if times[0] != 0.0 or np.abs(np.diff(times) - h).max() > 1e-9 * h:
+            raise InputError("grid evaluation needs a uniform grid starting at 0")
+
+        def conv(g, *rates):
+            vals = _as_fn(g)(times)
+            for rate in reversed(rates):  # innermost first
+                vals = _conv_grid_values(vals, rate, h)
+            return vals
+        return _eval_terms(build(params, alpha), times, conv)
+
+    # the tail: the term list's consts, with the driving signal at its tail
+    datum = "theta_dot_sq" if kind.startswith("track") else "input_gap_sq"
+    try:
+        tail_params = replace(params, **{datum: params._tail(datum)})
+    except InputError:  # a callable signal without its limsup
+        limsup = None
+    else:
+        def limsup(alpha):
+            _check_alpha(alpha, _TAIL_ALPHA_MIN.get(kind, 0.0))
+            return sum(v for tag, v, *_ in build(tail_params, alpha) if tag == "const")
+    return Envelope(eval=at_time, limsup=limsup, kind=kind, eval_grid=on_grid)
 
 
 def optimize_alpha(env: Envelope, t_or_limsup="limsup"):
@@ -497,6 +408,9 @@ def optimize_alpha(env: Envelope, t_or_limsup="limsup"):
         lo = max(_TAIL_ALPHA_MIN.get(env.kind, 0.0), ALPHA_EPS)
         f = env.limsup
     else:
+        if not (isinstance(t_or_limsup, numbers.Real) and 0.0 <= t_or_limsup < math.inf):
+            raise InputError(f"t_or_limsup must be 'limsup' or a finite t >= 0, "
+                             f"got {t_or_limsup!r}")
         t = float(t_or_limsup)
         lo = ALPHA_EPS
         f = lambda a: env.eval(t, a)

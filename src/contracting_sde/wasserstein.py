@@ -61,6 +61,8 @@ class EmpiricalMeasure:
 
 def wasserstein_1d(xs, ys, p) -> float:
     """Exact W_p between equal-weight scalar empirical measures (sorted order)."""
+    if not p >= 1:  # first, and NaN too: pow(1, nan) = 1 would make any W_p 1
+        raise InputError(f"p must be >= 1 or inf, got {p}")
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
     if xs.size == 0 or ys.size == 0:
@@ -70,8 +72,6 @@ def wasserstein_1d(xs, ys, p) -> float:
     d = np.abs(np.sort(xs) - np.sort(ys))
     if p == math.inf:
         return float(d.max())
-    if p < 1:
-        raise InputError("p must be >= 1 or inf")
     return float(np.mean(d**p) ** (1.0 / p))
 
 
@@ -108,6 +108,8 @@ def wasserstein_assignment(mx: EmpiricalMeasure, my: EmpiricalMeasure, p, norm="
     Finite p minimizes the mean p-th power cost; p = infinity solves the
     bottleneck assignment (minimize the largest matched distance).
     """
+    if not p >= 1:  # before the k x k distances, and NaN too
+        raise InputError(f"p must be >= 1 or inf, got {p}")
     import scipy.optimize  # here, not at the top: importing the package loads no scipy
 
     if mx.k != my.k:
@@ -119,8 +121,6 @@ def wasserstein_assignment(mx: EmpiricalMeasure, my: EmpiricalMeasure, p, norm="
     D = _pairwise_norms(mx.samples, my.samples, norm)
     if p == math.inf:
         return _bottleneck_assignment(D)
-    if p < 1:
-        raise InputError("p must be >= 1 or inf")
     rows, cols = scipy.optimize.linear_sum_assignment(D**p)
     return float(np.mean(D[rows, cols] ** p) ** (1.0 / p))
 
@@ -193,8 +193,8 @@ def _threshold_csr(D: np.ndarray, tau, indptr: np.ndarray, col_ids: np.ndarray):
 
 def wasserstein_envelope(W0: float, c: float, ell: float, input_gap, t: float) -> float:
     """e^{-ct} W0 + ell * integral_0^t e^{-c(t-tau)} gap(tau) dtau."""
-    if W0 < 0 or c < 0 or ell < 0:
-        raise InputError("W0, c, ell must be nonnegative")
+    if not all(0 <= v < math.inf for v in (W0, c, ell)):
+        raise InputError(f"W0, c, ell must be finite and nonnegative, got {W0}, {c}, {ell}")
     return math.exp(-c * t) * W0 + ell * decay_convolution(input_gap, c, t)
 
 

@@ -18,21 +18,7 @@ from contracting_sde import (
     decay_convolution,
     double_decay_convolution,
     make_envelope,
-    niss_two_traj,
-    niss_two_traj_tail,
-    niss_vs_ode,
-    niss_vs_ode_tail,
     optimize_alpha,
-    track_didc,
-    track_didc_tail,
-    track_jd_sidc,
-    track_jd_sidc_tail,
-    track_jd_sisc,
-    track_jd_sisc_tail,
-    track_ou_sidc,
-    track_ou_sidc_tail,
-    track_ou_sisc,
-    track_ou_sisc_tail,
 )
 
 ALL_KINDS = (
@@ -103,30 +89,30 @@ class TestPureDecayReductions:
         p = BoundParams(c=2.0, E0=3.0)
         for t in (0.0, 0.5, 2.0):
             for alpha in (0.3, 0.5, 0.9):
-                assert niss_two_traj(p, t, alpha) == pytest.approx(
+                assert make_envelope("niss_two_traj", p).eval(t, alpha) == pytest.approx(
                     3.0 * math.exp(-2.0 * 2.0 * alpha * t), rel=1e-12)
 
     def test_niss_vs_ode_initial_value_and_alpha_to_one(self):
         p = BoundParams(c=1.0, E0=4.0)
-        assert niss_vs_ode(p, 0.0, 0.5) == pytest.approx(4.0, rel=1e-12)
-        near_one = niss_vs_ode(p, 1.0, 1.0 - 1e-9)
+        assert make_envelope("niss_vs_ode", p).eval(0.0, 0.5) == pytest.approx(4.0, rel=1e-12)
+        near_one = make_envelope("niss_vs_ode", p).eval(1.0, 1.0 - 1e-9)
         assert near_one == pytest.approx(4.0 * math.exp(-2.0), rel=1e-6)
 
     def test_track_didc_pure_decay(self):
         p = BoundParams(c=1.5, ell=1.5, E0=1.0)
-        assert track_didc(p, 2.0, 0.5) == pytest.approx(
+        assert make_envelope("track_didc", p).eval(2.0, 0.5) == pytest.approx(
             math.exp(-2.0 * 1.5 * 0.5 * 2.0), rel=1e-12)
 
     def test_sidc_kinds_start_at_augmented_initial_error(self):
         p = _rich_params()
         expect = p.E0 + p.ell**2 / p.c**2 * p.Exi0
-        assert track_ou_sidc(p, 0.0, 0.4) == pytest.approx(expect, rel=1e-12)
-        assert track_jd_sidc(p, 0.0, 0.4) == pytest.approx(expect, rel=1e-12)
+        for kind in ("track_ou_sidc", "track_jd_sidc"):
+            assert make_envelope(kind, p).eval(0.0, 0.4) == pytest.approx(expect, rel=1e-12)
 
     def test_sisc_kinds_start_at_initial_error(self):
         p = _rich_params()
-        assert track_ou_sisc(p, 0.0, 0.4) == pytest.approx(p.E0, rel=1e-12)
-        assert track_jd_sisc(p, 0.0, 0.4) == pytest.approx(p.E0, rel=1e-12)
+        for kind in ("track_ou_sisc", "track_jd_sisc"):
+            assert make_envelope(kind, p).eval(0.0, 0.4) == pytest.approx(p.E0, rel=1e-12)
 
 
 class TestTailFormulas:
@@ -137,13 +123,14 @@ class TestTailFormulas:
                 p.sigma_x_sq / (p.c * alpha)
                 + p.ell**2 * p.input_gap_sq / (4 * p.c**2 * alpha * (1 - alpha))
             )
-            assert niss_two_traj_tail(p, alpha) == pytest.approx(expect, rel=1e-12)
+            assert make_envelope("niss_two_traj", p).limsup(alpha) == pytest.approx(
+                expect, rel=1e-12)
 
     def test_niss_vs_ode_tail_halves_noise_floor(self):
         p = _rich_params(input_gap_sq=0.0)
         for alpha in (0.3, 0.6):
-            assert niss_vs_ode_tail(p, alpha) == pytest.approx(
-                0.5 * niss_two_traj_tail(p, alpha), rel=1e-12)
+            assert make_envelope("niss_vs_ode", p).limsup(alpha) == pytest.approx(
+                0.5 * make_envelope("niss_two_traj", p).limsup(alpha), rel=1e-12)
 
     def test_track_didc_tail_formula(self):
         p = _rich_params()
@@ -152,7 +139,8 @@ class TestTailFormulas:
             p.sigma_x_sq / (2 * p.c * alpha)
             + p.ell**2 * p.theta_dot_sq / (4 * p.c**4 * alpha * (1 - alpha))
         )
-        assert track_didc_tail(p, alpha) == pytest.approx(expect, rel=1e-12)
+        assert make_envelope("track_didc", p).limsup(alpha) == pytest.approx(
+            expect, rel=1e-12)
 
     def test_track_ou_sidc_tail_formula(self):
         p = _rich_params()
@@ -162,15 +150,16 @@ class TestTailFormulas:
             + p.ell**2 * p.theta_dot_sq / (p.c**4 * alpha * (1 - alpha))
             + p.ell**2 / p.c**2 * p.sigma_xi_sq / (p.c * alpha)
         )
-        assert track_ou_sidc_tail(p, alpha) == pytest.approx(expect, rel=1e-12)
+        assert make_envelope("track_ou_sidc", p).limsup(alpha) == pytest.approx(
+            expect, rel=1e-12)
 
     def test_jd_sidc_tail_uses_box_variance_cap(self):
         # replacing the OU variance sigma_xi^2 with (|a|^2 / 4) sigma_u^2
         p_ou = _rich_params(sigma_xi_sq=_rich_params().a_norm_sq / 4 * _rich_params().sigma_u_sq)
         p_jd = _rich_params()
         for alpha in (0.3, 0.7):
-            assert track_jd_sidc_tail(p_jd, alpha) == pytest.approx(
-                track_ou_sidc_tail(p_ou, alpha), rel=1e-12)
+            assert make_envelope("track_jd_sidc", p_jd).limsup(alpha) == pytest.approx(
+                make_envelope("track_ou_sidc", p_ou).limsup(alpha), rel=1e-12)
 
     def test_track_ou_sisc_tail_formula(self):
         p = _rich_params()
@@ -183,7 +172,8 @@ class TestTailFormulas:
                     (2 - alpha) * p.ell**2 / c**2 * p.sigma_xi_sq / (2 * c)
                     + p.h_ou**2 / 2 * p.sigma_xi_sq**2 / (4 * c**2))
             )
-            assert track_ou_sisc_tail(p, alpha) == pytest.approx(expect, rel=1e-12)
+            assert make_envelope("track_ou_sisc", p).limsup(alpha) == pytest.approx(
+                expect, rel=1e-12)
 
     def test_track_jd_sisc_tail_formula(self):
         p = _rich_params()
@@ -197,7 +187,8 @@ class TestTailFormulas:
                     * p.sigma_u_sq / (2 * c)
                     + p.h_jd**2 / 2 * p.sigma_u_sq**2 / (4 * c**2))
             )
-            assert track_jd_sisc_tail(p, alpha) == pytest.approx(expect, rel=1e-12)
+            assert make_envelope("track_jd_sisc", p).limsup(alpha) == pytest.approx(
+                expect, rel=1e-12)
 
     def test_callable_datum_tail_uses_its_limsup(self):
         # the tail of a callable datum is the tail of the constant datum
@@ -222,35 +213,18 @@ class TestTailFormulas:
             p = _rich_params(theta_dot_sq=theta_dot_sq, sigma_x_sq=1e-3)
             a_star, v_star = optimize_alpha(make_envelope("track_jd_sisc", p))
             assert a_star >= 0.5
-            assert v_star == track_jd_sisc_tail(p, a_star)
+            assert v_star == make_envelope("track_jd_sisc", p).limsup(a_star)
 
     def test_limsup_matches_long_horizon_eval_constant_data(self):
         # for constant driving data the finite-time formula converges to the
         # tail form; at t = 100 / (c alpha) the gap is below double precision
         p = _rich_params()
-        tails = {
-            "niss_two_traj": niss_two_traj_tail,
-            "niss_vs_ode": niss_vs_ode_tail,
-            "track_didc": track_didc_tail,
-            "track_ou_sidc": track_ou_sidc_tail,
-            "track_ou_sisc": track_ou_sisc_tail,
-            "track_jd_sidc": track_jd_sidc_tail,
-            "track_jd_sisc": track_jd_sisc_tail,
-        }
-        evals = {
-            "niss_two_traj": niss_two_traj,
-            "niss_vs_ode": niss_vs_ode,
-            "track_didc": track_didc,
-            "track_ou_sidc": track_ou_sidc,
-            "track_ou_sisc": track_ou_sisc,
-            "track_jd_sidc": track_jd_sidc,
-            "track_jd_sisc": track_jd_sisc,
-        }
         for kind in ALL_KINDS:
             alpha = 0.7
             t_long = 100.0 / (p.c * alpha)
-            tail = tails[kind](p, alpha)
-            finite = evals[kind](p, t_long, alpha)
+            env = make_envelope(kind, p)
+            tail = env.limsup(alpha)
+            finite = env.eval(t_long, alpha)
             assert finite == pytest.approx(tail, rel=1e-9), kind
 
 
@@ -269,7 +243,8 @@ class TestDeterministicInputReductions:
                 + p.sigma_x_sq / ra * (1.0 - math.exp(-ra * t))
                 + conv
             )
-            assert track_ou_sidc(p, t, alpha) == pytest.approx(expect, rel=1e-12)
+            assert make_envelope("track_ou_sidc", p).eval(t, alpha) == pytest.approx(
+                expect, rel=1e-12)
 
     def test_sisc_collapses_structurally_to_didc(self):
         # with a frozen input curve (theta_dot = 0) and no input noise every
@@ -278,9 +253,10 @@ class TestDeterministicInputReductions:
         p = _rich_params(theta_dot_sq=0.0, sigma_xi_sq=0.0, sigma_u_sq=0.0, Exi0=0.0)
         for t in (0.0, 0.7, 3.0):
             for alpha in (0.3, 0.55, 0.8):
-                ref = track_didc(p, t, alpha)
-                assert track_ou_sisc(p, t, alpha) == pytest.approx(ref, rel=1e-12)
-                assert track_jd_sisc(p, t, alpha) == pytest.approx(ref, rel=1e-12)
+                ref = make_envelope("track_didc", p).eval(t, alpha)
+                for kind in ("track_ou_sisc", "track_jd_sisc"):
+                    assert make_envelope(kind, p).eval(t, alpha) == pytest.approx(
+                        ref, rel=1e-12)
 
 
 def _quad_conv(g, rate, t):
@@ -350,7 +326,7 @@ class TestStochasticCurveOracles:
             )
             t = float(rng.uniform(0.2, 4.0))
             alpha = float(rng.uniform(0.15, 0.85))
-            assert track_ou_sisc(p, t, alpha) == pytest.approx(
+            assert make_envelope("track_ou_sisc", p).eval(t, alpha) == pytest.approx(
                 _oracle_track_ou_sisc(p, t, alpha, lambda tau: float(g(tau))),
                 rel=1e-6)
 
@@ -368,7 +344,7 @@ class TestStochasticCurveOracles:
             )
             t = float(rng.uniform(0.2, 3.0))
             alpha = float(rng.uniform(0.15, 0.85))
-            assert track_jd_sisc(p, t, alpha) == pytest.approx(
+            assert make_envelope("track_jd_sisc", p).eval(t, alpha) == pytest.approx(
                 _oracle_track_jd_sisc(p, t, alpha, lambda tau: float(g(tau))),
                 rel=1e-6)
 
@@ -381,7 +357,8 @@ class TestStochasticCurveOracles:
         ra = p1.c * alpha
         floor = (p1.ell**2 / p1.c**2 * (p1.a_norm_sq / 4) * p1.sigma_u_sq / ra
                  * (1.0 - math.exp(-ra * t)))
-        assert track_jd_sidc(p2, t, alpha) - track_jd_sidc(p1, t, alpha) == pytest.approx(
+        env1, env2 = make_envelope("track_jd_sidc", p1), make_envelope("track_jd_sidc", p2)
+        assert env2.eval(t, alpha) - env1.eval(t, alpha) == pytest.approx(
             3.0 * floor, rel=1e-10)
 
 
@@ -396,17 +373,11 @@ class TestConstantSignalClosedForms:
             input_gap_sq=lambda ts: np.full_like(np.asarray(ts, float), q),
             theta_dot_sq_limsup=q, input_gap_sq_limsup=q,
         )
-        evals = {
-            "niss_two_traj": niss_two_traj,
-            "track_didc": track_didc,
-            "track_ou_sidc": track_ou_sidc,
-            "track_ou_sisc": track_ou_sisc,
-            "track_jd_sisc": track_jd_sisc,
-        }
-        for kind, fn in evals.items():
+        for kind in ("niss_two_traj", "track_didc", "track_ou_sidc", "track_ou_sisc",
+                     "track_jd_sisc"):
             for t in (0.5, 2.0):
-                a = fn(p_scalar, t, 0.6)
-                b = fn(p_callable, t, 0.6)
+                a = make_envelope(kind, p_scalar).eval(t, 0.6)
+                b = make_envelope(kind, p_callable).eval(t, 0.6)
                 assert b == pytest.approx(a, rel=1e-7), kind
 
 
@@ -415,8 +386,14 @@ class TestEnvelopeObject:
         p = _rich_params()
         env = make_envelope("track_didc", p)
         assert env.kind == "track_didc"
-        assert env.eval(1.0, 0.5) == pytest.approx(track_didc(p, 1.0, 0.5), rel=1e-14)
-        assert env.limsup(0.5) == pytest.approx(track_didc_tail(p, 0.5), rel=1e-14)
+        # constant theta_dot: the convolution term is a second floor at rate 2 c alpha
+        c, alpha, t = p.c, 0.5, 1.0
+        decay = math.exp(-2 * c * alpha * t)
+        floor = (p.sigma_x_sq / (2 * c * alpha)
+                 + p.ell**2 * p.theta_dot_sq / (4 * c**4 * alpha * (1 - alpha)))
+        assert env.eval(t, alpha) == pytest.approx(
+            p.E0 * decay + floor * (1.0 - decay), rel=1e-14)
+        assert env.limsup(alpha) == pytest.approx(floor, rel=1e-14)
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
@@ -424,9 +401,11 @@ class TestEnvelopeObject:
 
     def test_grid_eval_matches_pointwise(self):
         p = _rich_params(theta_dot_sq=lambda ts: np.sin(np.asarray(ts)) ** 2,
-                         theta_dot_sq_limsup=1.0)
+                         theta_dot_sq_limsup=1.0,
+                         input_gap_sq=lambda ts: np.cos(np.asarray(ts)) ** 2,
+                         input_gap_sq_limsup=1.0)
         times = np.arange(0, 801) * 0.005
-        for kind in ("track_didc", "track_ou_sisc", "track_jd_sisc"):
+        for kind in ALL_KINDS:
             env = make_envelope(kind, p)
             grid_vals = env.eval_grid(times, 0.6)
             for idx in (0, 1, 100, 400, 800):
@@ -453,15 +432,15 @@ class TestEnvelopeObject:
         p = _rich_params()
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(InputError):
-                niss_two_traj(p, 1.0, bad)
+                make_envelope("niss_two_traj", p).eval(1.0, bad)
             with pytest.raises(InputError):
-                track_didc_tail(p, bad)
+                make_envelope("track_didc", p).limsup(bad)
 
     def test_jd_sisc_tail_guard(self):
         p = _rich_params()
         with pytest.raises(InputError):
-            track_jd_sisc_tail(p, 0.4)
-        assert track_jd_sisc_tail(p, 0.5) > 0.0
+            make_envelope("track_jd_sisc", p).limsup(0.4)
+        assert make_envelope("track_jd_sisc", p).limsup(0.5) > 0.0
 
 
 class TestOptimizeAlpha:
@@ -499,6 +478,12 @@ class TestOptimizeAlpha:
         assert v_star <= min(env.eval(1.5, a) for a in grid) + 1e-10
         assert env.eval(1.5, a_star) == pytest.approx(v_star, rel=1e-12)
 
+    @pytest.mark.parametrize("target", ["lim", "", None, -1.0, math.inf, math.nan])
+    def test_target_is_limsup_or_finite_time(self, target):
+        env = make_envelope("track_didc", _rich_params())
+        with pytest.raises(InputError):
+            optimize_alpha(env, target)
+
 
 class TestMonotonicity:
     def test_envelopes_increase_with_noise_parameters(self):
@@ -507,10 +492,12 @@ class TestMonotonicity:
         more_xi = _rich_params(sigma_xi_sq=base.sigma_xi_sq * 2)
         more_u = _rich_params(sigma_u_sq=base.sigma_u_sq * 2)
         t, alpha = 2.0, 0.6
-        assert niss_two_traj(more_x, t, alpha) > niss_two_traj(base, t, alpha)
-        assert track_ou_sisc(more_xi, t, alpha) > track_ou_sisc(base, t, alpha)
-        assert track_jd_sisc(more_u, t, alpha) > track_jd_sisc(base, t, alpha)
-        assert track_ou_sidc_tail(more_xi, alpha) > track_ou_sidc_tail(base, alpha)
+        for kind, more in (("niss_two_traj", more_x), ("track_ou_sisc", more_xi),
+                           ("track_jd_sisc", more_u)):
+            assert (make_envelope(kind, more).eval(t, alpha)
+                    > make_envelope(kind, base).eval(t, alpha)), kind
+        assert (make_envelope("track_ou_sidc", more_xi).limsup(alpha)
+                > make_envelope("track_ou_sidc", base).limsup(alpha))
 
 
 class TestParamValidation:
@@ -524,3 +511,14 @@ class TestParamValidation:
         for name in ("ell", "sigma_x_sq", "sigma_xi_sq", "sigma_u_sq", "E0", "Exi0"):
             with pytest.raises(InputError):
                 BoundParams(c=1.0, **{name: -0.1})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "c", "ell", "sigma_x_sq", "sigma_xi_sq", "sigma_u_sq", "a_norm_sq", "h_ou",
+        "h_jd", "E0", "Exi0", "theta_dot_sq", "input_gap_sq", "theta_dot_sq_limsup",
+        "input_gap_sq_limsup"])
+    def test_nonfinite_fields(self, name, bad):
+        # a NaN constant made every envelope NaN, a silent failing verdict,
+        # and c = inf made it 0
+        with pytest.raises(InputError, match=name):
+            BoundParams(**{"c": 1.0, name: bad})

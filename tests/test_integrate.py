@@ -167,7 +167,7 @@ class TestIntegrateCascade:
     def test_ou_cascade_moment_below_tail_bound(self):
         # constant theta, F = -c(x - u): the long-run tracking moment is finite
         # and below the stochastic-input tail bound evaluated near alpha -> 1
-        from contracting_sde import BoundParams, track_ou_sidc_tail
+        from contracting_sde import BoundParams, make_envelope
         c, sigma, sigma_xi = 1.0, 0.2, 0.3
         sys = scalar_tracker(c, sigma)
         theta = InputSignal.constant([0.5])
@@ -186,7 +186,7 @@ class TestIntegrateCascade:
             errs.append(float(np.mean(tail**2)))
         emp = float(np.mean(errs))
         p = BoundParams(c=c, ell=c, sigma_x_sq=sigma**2, sigma_xi_sq=sigma_xi**2)
-        bound = track_ou_sidc_tail(p, 0.9)
+        bound = make_envelope("track_ou_sidc", p).limsup(0.9)
         se = float(np.std(errs, ddof=1)) / math.sqrt(len(errs))
         assert emp <= bound + 3.0 * se
 

@@ -72,6 +72,20 @@ class TestWasserstein1d:
         with pytest.raises(InputError):
             wasserstein_1d([1.0, 2.0], [1.0, 2.0], 0.5)
 
+    @pytest.mark.parametrize("p", [math.nan, 0.5, 0.0, -math.inf])
+    def test_order_checked_before_any_work(self, p, monkeypatch):
+        # pow(1, nan) = 1: an unchecked NaN order gave W_p = 1.0 here
+        with pytest.raises(InputError, match="p must be"):
+            wasserstein_1d([1.0, 2.0], [0.0, 3.0], p)
+
+        def no_distances(*args):
+            raise AssertionError("distance matrix built before p was checked")
+
+        monkeypatch.setattr(wasserstein, "_pairwise_norms", no_distances)
+        cloud = EmpiricalMeasure([[0.0], [1.0]])
+        with pytest.raises(InputError, match="p must be"):
+            wasserstein_assignment(cloud, cloud, p)
+
 
 class TestWassersteinAssignment:
     def test_two_point_crossing(self):
@@ -415,6 +429,14 @@ class TestWassersteinEnvelope:
     def test_validation(self):
         with pytest.raises(InputError):
             wasserstein_envelope(-1.0, 1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_nonfinite_constants(self, slot, bad):
+        args = [1.0, 1.0, 1.0]
+        args[slot] = bad
+        with pytest.raises(InputError):
+            wasserstein_envelope(*args, 0.0, 1.0)
 
 
 def _scalar_ou_system(c=1.0, sigma=0.5):
