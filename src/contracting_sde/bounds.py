@@ -99,6 +99,14 @@ def _check_alpha(alpha, lo: float = 0.0):
         raise InputError(f"tail form requires alpha in [{lo}, 1), got {alpha}")
 
 
+def _check_times(t):
+    """InputError unless every time in t is finite and >= 0: an envelope
+    bounds the error at a time elapsed since the start."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
+        raise InputError(f"envelope times must be finite and >= 0, got {t}")
+
+
 # ---------------------------------------------------------------------------
 # Quadrature primitives
 
@@ -334,7 +342,8 @@ class Envelope:
     ``eval(t, alpha)`` is the finite-time formula; ``limsup(alpha)`` is the
     tail form (None when the tail value of the driving data is unknown);
     ``eval_grid(times, alpha)`` evaluates the bound over a uniform grid
-    starting at 0 in a single O(N) pass.
+    starting at 0, of one or more times, in a single O(N) pass. Times are
+    elapsed times: a negative or non-finite one is an InputError.
     """
 
     eval: Callable[[float, float], float]
@@ -362,6 +371,7 @@ def make_envelope(kind: str, params: BoundParams) -> Envelope:
 
     def at_time(t, alpha):
         _check_alpha(alpha)
+        _check_times(t)
         conv = lambda g, *rates: (decay_convolution if len(rates) == 1
                                   else double_decay_convolution)(g, *rates, t)
         return float(_eval_terms(build(params, alpha), t, conv))
@@ -369,10 +379,10 @@ def make_envelope(kind: str, params: BoundParams) -> Envelope:
     def on_grid(times, alpha):
         _check_alpha(alpha)
         times = np.asarray(times, dtype=float)
-        if times.shape[0] < 2:
-            return np.array([at_time(t, alpha) for t in times])
-        h = times[1] - times[0]
-        if times[0] != 0.0 or np.abs(np.diff(times) - h).max() > 1e-9 * h:
+        _check_times(times)
+        h = times[1] - times[0] if times.shape[0] > 1 else 0.0
+        uneven = np.any(np.abs(np.diff(times) - h) > 1e-9 * h)
+        if times.shape[0] == 0 or times[0] != 0.0 or uneven:
             raise InputError("grid evaluation needs a uniform grid starting at 0")
 
         def conv(g, *rates):

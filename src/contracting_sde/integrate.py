@@ -5,20 +5,26 @@ deterministic comparisons.
 Inputs are sampled at the left endpoint of each step (explicit scheme, Ito
 convention). Every trajectory steps through one batched kernel,
 ``_blocks``: single paths on a block of one row, ensembles and W_p clouds
-on chunks of paths. Within each time block of draws it works on sub-blocks
-of ``_STEP_BLOCK`` steps held in small step-major buffers that stay in
-cache. For a system given as data, ``SystemSpec.affine = (A, B)`` with its
+on chunks of paths. All systems of a run, one or the two of a pair, step
+as one stacked stepper on one step-major (S + 1, K, N, n) block of
+states, its buffers holding S + 1 = min(``_STEP_BLOCK``, steps) + 1 rows
+so that they stay in cache and a short run builds no more than it uses.
+Within each time block of draws it works on sub-blocks of S steps. For
+a system given as data, ``SystemSpec.affine = (A, B)`` with its
 ``dispersion_matrix`` Sigma, the noise terms (Z sqrt(dt)) Sigma^T of a
-sub-block are one matrix product; the input terms u_k B^T are computed
-once per chunk for inputs shared by all paths, or per sub-block for OU
-and Jacobi input noise, whose recursions do not depend on the state and
-are stepped first; and the states are stepped in place, five calls per
-step. Other systems call their drift and dispersion closures per step in
-the same loop. An OU input process run with no system is the OU ensemble
-of ``montecarlo.ou_moment``: its one recursion xi' = decay xi + std z
-takes the exact transition's coefficients or Euler's. Finiteness is
-checked once per sub-block: the finite steps are handed on, then
-DivergenceError names the first non-finite step and path.
+sub-block are one matrix product per system; the input terms u_k B^T are
+computed once per chunk for inputs shared by all paths, or per sub-block
+for OU and Jacobi input noise, whose recursions do not depend on the
+state and are stepped first; and the states are stepped in place, five
+calls per step for the whole pair: one product by the stacked A^T (a
+scalar per system when each A is d I), then + u B^T, * dt, + x and
++ Sigma dB. Other systems call their drift and dispersion closures per
+step on their own slice of the stack. An OU input process run with no
+system is the OU ensemble of ``montecarlo.ou_moment``: its one recursion
+xi' = decay xi + std z takes the exact transition's coefficients or
+Euler's. Finiteness is checked once per sub-block: the finite steps are
+handed on, then DivergenceError names the first non-finite step and
+path, x before y.
 
 The order of operations is that of x + F(x, u) dt + Sigma dB, so in one
 dimension every result is bit-identical to stepping the closures one step
@@ -107,7 +113,9 @@ def _draws(master_seed, start, count, steps, width):
 
 
 def _check_finite(x, step, start):
-    """Raise DivergenceError naming the first non-finite row of the (N, n) block.
+    """Raise DivergenceError naming the first non-finite row of the (..., N, n)
+    block of states at one step, the systems of a stacked (K, N, n) block in
+    order.
 
     Row i is path start + i. A non-finite entry makes the sum non-finite, so
     the rows are searched only when it is; a sum that overflows over finite
@@ -115,25 +123,24 @@ def _check_finite(x, step, start):
     """
     if math.isfinite(x.sum()):
         return
-    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=1))
-    if bad.size:
-        idx = None if start is None else start + int(bad[0])
+    bad = np.argwhere(~np.all(np.isfinite(x), axis=-1))
+    if len(bad):
+        idx = None if start is None else start + int(bad[0, -1])
         raise DivergenceError(
             f"non-finite state at step {step} on path {idx}", step=step, path_index=idx,
         )
 
 
-def _finite_steps(blocks, step, start):
-    """(j, error) for the step-major (S, N, n) blocks of states at steps
-    step, step+1, ...: the first j steps are finite in every block, and
-    error is the DivergenceError of step + j (the earlier block first), or
-    None when all S steps are finite."""
-    S = len(blocks[0])
-    if not all(math.isfinite(b.sum()) for b in blocks):
+def _finite_steps(block, step, start):
+    """(j, error) for the step-major (S, K, N, n) block of states at steps
+    step, step+1, ...: the first j steps are finite, and error is the
+    DivergenceError of step + j (see ``_check_finite``), or None when all
+    S steps are finite."""
+    S = len(block)
+    if not math.isfinite(block.sum()):
         for j in range(S):
             try:
-                for b in blocks:
-                    _check_finite(b[j], step + j, start)
+                _check_finite(block[j], step + j, start)
             except DivergenceError as err:
                 return j, err
     return S, None
@@ -157,6 +164,11 @@ def _warn_step_size(sys: SystemSpec, grid: TimeGrid, stacklevel: int = 3):
 
 
 def _check_pair(sys_x: SystemSpec, sys_y: SystemSpec, mode, grid: TimeGrid):
+    if sys_x.state_dim != sys_y.state_dim:
+        raise InputError(
+            f"a pair needs one state space; the systems have {sys_x.state_dim} "
+            f"and {sys_y.state_dim} states"
+        )
     if mode is CouplingMode.COMMON and sys_x.noise_dim != sys_y.noise_dim:
         raise InputError("common coupling requires equal dispersion column counts")
     _warn_step_size(sys_x, grid, stacklevel=4)
@@ -196,59 +208,93 @@ def _diffuse(sys: SystemSpec, x, u, dB):
 
 
 class _Stepper:
-    """One system's Euler-Maruyama steps, in place, on a step-major
-    (_STEP_BLOCK + 1, N, n) block X of states; X[0] holds the states at the
-    first step of the sub-block.
+    """The Euler-Maruyama steps of the K systems of a run, in place, on one
+    step-major (S + 1, K, N, n) block X of states; X[0] holds the states at
+    the first step of a sub-block of at most S steps.
 
-    ``rows`` holds the (steps+1, m) inputs shared by all paths, or is None
-    when a process realizes the inputs per path; ``cols`` selects the
-    system's columns of the draws.
+    ``rows[i]`` holds the (steps+1, m) inputs of system i shared by all
+    paths, or is None when a process realizes the inputs per path (then
+    for a lone system); ``cols[i]`` selects system i's columns of the
+    draws. The affine systems step as one stack, five calls per step for
+    all of them; any other system calls its drift and dispersion closures
+    per step on its own slice of X.
     """
 
-    def __init__(self, sys: SystemSpec, x0, rows, cols, dt):
-        self.sys, self.rows, self.cols, self.dt = sys, rows, cols, dt
-        shape = (_STEP_BLOCK,) + x0.shape
-        self.X = np.empty((_STEP_BLOCK + 1,) + x0.shape)
-        self.X[0] = x0
-        self.W = np.empty(shape[:2] + (sys.noise_dim,))  # Z sqrt(dt)
+    def __init__(self, systems, x0s, rows, cols, dt, S):
+        self.dt, self.rows = dt, rows
+        N, n = x0s[0].shape
+        self.X = np.empty((S + 1, len(systems), N, n))
+        self.X[0] = x0s
+        aff = [i for i, s in enumerate(systems) if s.affine is not None]
+        self.closures = [(i, s) for i, s in enumerate(systems) if s.affine is None]
+        # the affine systems are all of them or, in a pair, one: a slice
+        self.aff = slice(aff[0], aff[-1] + 1) if aff else None
         # per-step views, made once
-        self.Xv, self.Wv = list(self.X), list(self.W)
-        if sys.affine is not None:
-            A, B = sys.affine
-            self.A, self.B = _product(A.T), _product(B.T)
-            self.S = _product(sys.dispersion_matrix.T)
-            # noise terms (Z sqrt(dt)) Sigma^T, in place when elementwise
-            self.D = self.W if self.S[0] is np.multiply else np.empty(shape)
-            self.Dv = list(self.D)
-            # input terms u_k B^T: for shared rows once, row by row as a
-            # single u_k @ B^T rounds; for realized inputs per sub-block
-            self.b = np.empty(shape) if rows is None else np.matmul(rows[:, None], B.T)[:, 0]
+        self.Xv = list(self.X) if self.closures else None
+        self.Xa = [x[self.aff] for x in self.X] if aff else None
+        # noise terms (Z sqrt(dt)) Sigma^T, system-major: written in place
+        # when Sigma is s I, through a matrix product otherwise
+        D = np.empty((len(aff), S, N, n))
+        self.Dv = list(D.transpose(1, 0, 2, 3))
+        self.noise = []  # (cols, Z sqrt(dt) buffer, Sigma^T product, noise terms)
+        for i, sys in enumerate(systems):
+            if sys.affine is None:
+                self.noise.append((cols[i], np.empty((S, N, sys.noise_dim)), None, None))
+                continue
+            d = D[i - self.aff.start]
+            prod = _product(sys.dispersion_matrix.T)
+            W = d if prod[0] is np.multiply else np.empty((S, N, sys.noise_dim))
+            self.noise.append((cols[i], W, prod, d))
+        if not aff:
+            return
+        A = [systems[i].affine[0] for i in aff]
+        B = [systems[i].affine[1] for i in aff]
+        # x -> x A^T for the whole stack: a (K, 1, 1) product when every A
+        # is d I, else one batched matmul by the stacked A^T, each kept a
+        # transposed view with the strides of the system's own A.T
+        products = [_product(a.T) for a in A]
+        if all(f is np.multiply for f, _ in products):
+            self.A = np.multiply, np.array([d for _, d in products])[:, None, None]
+        else:
+            self.A = np.matmul, np.stack(A).transpose(0, 2, 1)
+        # input terms u_k B^T: for shared rows once, row by row as a
+        # single u_k @ B^T rounds; for realized inputs per sub-block
+        if rows[aff[0]] is None:
+            self.B = _product(B[0].T)
+            self.b = np.empty((S, 1, N, n))
+            self.bv = list(self.b)
+        else:
+            self.b = np.empty((len(rows[0]), len(aff), 1, n))
+            for j, i in enumerate(aff):
+                self.b[:, j] = np.matmul(rows[i][:, None], B[j].T)
 
     def step(self, z, k, u):
         """Step X[1..n] from X[0], the states at step k, on the (n, N, width)
         normals z; u holds the realized (n, N, m) inputs at steps k..k+n-1,
         or is None for the shared rows."""
-        Xv, Wv, dt, n = self.Xv, self.Wv, self.dt, len(z)
-        np.multiply(z[:, :, self.cols], math.sqrt(dt), out=self.W[:n])
-        if self.sys.affine is None:
-            if u is None:
-                u = self.rows[k:k + n]
+        Xv, dt, n = self.Xv, self.dt, len(z)
+        for cols, W, prod, D in self.noise:
+            np.multiply(z[:, :, cols], math.sqrt(dt), out=W[:n])
+            if prod is not None:
+                _apply(prod, W[:n], D[:n])
+        for i, sys in self.closures:
+            us = self.rows[i][k:k + n] if u is None else u
             for j in range(n):
-                x, t = Xv[j], Xv[j + 1]
-                np.multiply(np.asarray(self.sys.drift(x, u[j]), dtype=float), dt, out=t)
+                x, t = Xv[j][i], Xv[j + 1][i]
+                np.multiply(np.asarray(sys.drift(x, us[j]), dtype=float), dt, out=t)
                 t += x
-                t += _diffuse(self.sys, x, u[j], Wv[j])
+                t += _diffuse(sys, x, us[j], self.noise[i][1][j])
+        if self.aff is None:
             return
-        Dv = self.Dv
-        _apply(self.S, self.W[:n], self.D[:n])
+        Xa, Dv = self.Xa, self.Dv
         if u is None:
             bv = list(self.b[k:k + n])
         else:
-            bv = list(self.b[:n])
-            _apply(self.B, u, self.b[:n])
+            bv = self.bv
+            _apply(self.B, u, self.b[:n, 0])
         times_A, A = self.A
         for j in range(n):  # x + (A x + B u) dt + Sigma dB, in that order
-            x, t = Xv[j], Xv[j + 1]
+            x, t = Xa[j], Xa[j + 1]
             times_A(x, A, t)
             t += bv[j]
             t *= dt
@@ -318,54 +364,61 @@ def _blocks(systems, x0s, rows, grid, master_seed, start, common=False, drive=No
     run is step 0 alone, each later one a sub-block of at most _STEP_BLOCK
     steps; the views are overwritten when the next run is requested.
 
-    ``x0s`` holds one (N, n) block of initial states per system; row i is
-    path start + i and draws from the stream keyed (master_seed, start + i)
-    first the m input normals of ``drive``, then each system's r normals
-    (in common mode, one r-block for all). ``rows[i]`` holds the (steps+1,
-    m) inputs of system i shared by all paths; ``drive`` = (noise,
-    theta_path, u0[, coeffs]) instead feeds the one system the input
-    process of ``_input_process``, started from the (m,) vector u0. With
-    no system the input process alone is stepped and checked, and u0 is
-    its (N, m) block of initial states.
+    ``x0s`` holds one (N, n) block of initial states per system, all of
+    one state dimension; row i is path start + i and draws from the stream
+    keyed (master_seed, start + i) first the m input normals of ``drive``,
+    then each system's r normals (in common mode, one r-block for all).
+    ``rows[i]`` holds the (steps+1, m) inputs of system i shared by all
+    paths; ``drive`` = (noise, theta_path, u0[, coeffs]) instead feeds the
+    one system the input process of ``_input_process``, started from the
+    (m,) vector u0. With no system the input process alone is stepped and
+    checked, and u0 is its (N, m) block of initial states. The systems
+    step as one ``_Stepper`` on buffers of min(_STEP_BLOCK, steps) + 1
+    rows.
 
     Steps run with numpy's overflow and invalid-value warnings off: a
     non-finite state raises DivergenceError once the finite steps before
     it were yielded.
     """
-    dt = grid.dt
+    dt, S = grid.dt, min(_STEP_BLOCK, grid.steps)
     m = 0 if drive is None else drive[0].dim
     cols, c = [], m
     for sys in systems:
         cols.append(slice(c, c + sys.noise_dim))
         if not common:
             c += sys.noise_dim
-    steppers = [_Stepper(*a, dt) for a in zip(systems, x0s, rows, cols)]
-    views = [s.X for s in steppers]
     N = len(x0s[0] if systems else drive[2])
     if drive is not None:
-        U = np.empty((_STEP_BLOCK + 1, N, m))
+        U = np.empty((S + 1, N, m))
         advance = _input_process(U, grid, *drive)
-        views.append(U)
-    checked = views[:len(steppers)] or views  # the states, or a lone input process
-    yield 0, [v[:1] for v in views]
+    stepper = _Stepper(systems, x0s, rows, cols, dt, S) if systems else None
+    # the (S + 1, K, N, n) states that are checked: the systems', or a lone
+    # input process's; then the inputs that drive the systems
+    X = U[:, None] if stepper is None else stepper.X
+    inputs = [U] if systems and drive is not None else []
+
+    def views(a, b):
+        return list(X[a:b].swapaxes(0, 1)) + [v[a:b] for v in inputs]
+
+    yield 0, views(0, 1)
     k = 0
     for Z in _draws(master_seed, start, N, grid.steps, cols[-1].stop if cols else m):
-        for j0 in range(0, Z.shape[1], _STEP_BLOCK):
-            n = min(_STEP_BLOCK, Z.shape[1] - j0)
+        for j0 in range(0, Z.shape[1], S):
+            n = min(S, Z.shape[1] - j0)
             z = Z[:, j0:j0 + n].transpose(1, 0, 2)  # (n, N, width), step-major
             with np.errstate(over="ignore", invalid="ignore"):
                 u = None
                 if drive is not None:
                     advance(z[:, :, :m], k)
                     u = U[:n]
-                for s in steppers:
-                    s.step(z, k, u)
-                ok, err = _finite_steps([v[1:n + 1] for v in checked], k + 1, start)
+                if stepper is not None:
+                    stepper.step(z, k, u)
+                ok, err = _finite_steps(X[1:n + 1], k + 1, start)
             if ok:
-                yield k + 1, [v[1:ok + 1] for v in views]
+                yield k + 1, views(1, ok + 1)
             if err is not None:
                 raise err
-            for v in views:
+            for v in [X] + inputs:
                 v[0] = v[n]
             k += n
 

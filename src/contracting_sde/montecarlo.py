@@ -3,10 +3,12 @@ norm, standard errors, tail averages, and envelope-domination verdicts.
 
 Paths are independent work items keyed by (master_seed, path_index). Every
 ensemble steps through the one batched kernel of ``integrate``, which the
-single-path integrators run on a block of one: sub-blocks of
-``_STEP_BLOCK`` steps in step-major buffers, where a system given as data
-(``SystemSpec.affine`` with its dispersion matrix) has its noise and input
-terms computed once per sub-block and its states stepped in place. OU
+single-path integrators run on a block of one: one stacked stepper per
+run, with step-major buffers of min(``_STEP_BLOCK``, steps) + 1 rows,
+where a system given as data (``SystemSpec.affine`` with its dispersion
+matrix) has its noise and input terms computed once per sub-block and the
+states of both systems of a pair are stepped in place together, five
+calls per step for the whole pair. OU
 moments run the kernel's OU input process with no system, with the exact
 or the Euler coefficients. All three estimators reduce through one
 reducer: the squared norms of a sub-block's (S, N, n) errors at once,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import decay_convolution
+from .bounds import _check_times, decay_convolution
 from .core import InputSignal, Metric, SystemSpec, TimeGrid, _row_norm_sq
 from .errors import CapabilityError, CapacityError, DomainError, InputError
 from .integrate import CouplingMode, _blocks, _check_pair, _chunks
@@ -195,6 +195,7 @@ def wasserstein_envelope(W0: float, c: float, ell: float, input_gap, t: float) -
     """e^{-ct} W0 + ell * integral_0^t e^{-c(t-tau)} gap(tau) dtau."""
     if not all(0 <= v < math.inf for v in (W0, c, ell)):
         raise InputError(f"W0, c, ell must be finite and nonnegative, got {W0}, {c}, {ell}")
+    _check_times(t)
     return math.exp(-c * t) * W0 + ell * decay_convolution(input_gap, c, t)
 
 

@@ -419,6 +419,26 @@ class TestEnvelopeObject:
         with pytest.raises(InputError):
             env.eval_grid(np.array([0.0, 0.1, 0.3]), 0.5)
 
+    def test_one_point_grid_must_start_at_zero(self):
+        for kind in ALL_KINDS:
+            env = make_envelope(kind, _rich_params())
+            assert env.eval_grid(np.array([0.0]), 0.5).tolist() == [env.eval(0.0, 0.5)]
+            for bad in ([3.0], []):
+                with pytest.raises(InputError, match="uniform grid starting at 0"):
+                    env.eval_grid(np.array(bad), 0.5)
+
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_times_outside_zero_to_infinity(self, t):
+        # e.g. track_didc's decay term run backwards read e at t = -1
+        for kind in ALL_KINDS:
+            env = make_envelope(kind, _rich_params())
+            with pytest.raises(InputError, match="finite and >= 0"):
+                env.eval(t, 0.5)
+            with pytest.raises(InputError, match="finite and >= 0"):
+                env.eval_grid(np.array([0.0, 0.1, t]), 0.5)
+            with pytest.raises(InputError, match="finite and >= 0"):
+                env.eval_grid(np.array([t]), 0.5)
+
     def test_callable_data_without_limsup_has_no_tail(self):
         p = _rich_params(theta_dot_sq=lambda ts: np.ones_like(np.asarray(ts, float)))
         env = make_envelope("track_didc", p)

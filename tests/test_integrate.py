@@ -566,28 +566,35 @@ class TestAffineData:
                        metric=sys.metric, certificate=sys.certificate, affine=sys.affine)
 
 
-def _reference_divergence(systems, x0s, rows, steps, dt, seed, start, common):
-    """(step, path) at which the one-step-at-a-time recursion
-    x + F(x, u) dt + Sigma dB first holds a non-finite state, x before y."""
-    N = x0s[0].shape[0]
-    widths = [s.noise_dim for s in systems]
-    width = widths[0] if common else sum(widths)
-    Z = np.stack([RngLineage(seed, start + i).stream().standard_normal((steps, width))
-                  for i in range(N)])
-    xs = [x0.copy() for x0 in x0s]
+def _stepped_one_at_a_time(mats, x0s, rows, common, grid, seed, start, count):
+    """The states (steps+1, count, n) of each system of a pair, given by its
+    (A, B, Sigma) and its initial vector or (count, n) block, stepped one
+    step at a time as x + (A x + B u) dt + Sigma dB, in that order, on path
+    i's normals from RngLineage(seed, start + i): x's r columns first, then
+    y's (in common mode one r-block for both). A path's noise terms
+    Sigma dB are one matrix product over its steps, as a 1-row product may
+    round differently for n >= 2. Also returns the (step, path) of the
+    first non-finite state, x before y, or None; the states after it are
+    not stepped."""
+    steps, sq = grid.steps, math.sqrt(grid.dt)
+    widths = [S.shape[1] for _, _, S in mats]
+    Z = np.stack([RngLineage(seed, start + i).stream().standard_normal(
+        (steps, widths[0] if common else sum(widths))) for i in range(count)])
+    out = [np.empty((steps + 1, count, np.shape(x0)[-1])) for x0 in x0s]
+    noise, c = [], 0
+    for o, x0, (_, _, S) in zip(out, x0s, mats):
+        o[0] = x0
+        noise.append(np.stack([(z[:, c:c + S.shape[1]] * sq) @ S.T for z in Z], axis=1))
+        c += 0 if common else S.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            c = 0
-            for i, sys in enumerate(systems):
-                r = sys.noise_dim
-                dB = Z[:, k, c:c + r] * math.sqrt(dt)
-                if not common:
-                    c += r
-                xs[i] = xs[i] + sys.drift(xs[i], rows[i][k]) * dt + dB @ sys.dispersion_matrix.T
-                bad = np.flatnonzero(~np.all(np.isfinite(xs[i]), axis=1))
+            for o, (A, B, _), u, D in zip(out, mats, rows, noise):
+                x = o[k]
+                o[k + 1] = x + (x @ A.T + u[k] @ B.T) * grid.dt + D[k]
+                bad = np.flatnonzero(~np.all(np.isfinite(o[k + 1]), axis=1))
                 if bad.size:
-                    return k + 1, start + int(bad[0])
-    return None
+                    return out, (k + 1, start + int(bad[0]))
+    return out, None
 
 
 class TestDivergence:
@@ -611,7 +618,9 @@ class TestDivergence:
 
         grid = TimeGrid(0.0, 1.0, steps)
         rows = [np.zeros((steps + 1, 1))] * len(systems)
-        expected = _reference_divergence(systems, x0s, rows, steps, 1.0, 3, self.START, common)
+        mats = [(*s.affine, s.dispersion_matrix) for s in systems]
+        _, expected = _stepped_one_at_a_time(mats, x0s, rows, common, grid, 3, self.START,
+                                             len(x0s[0]))
         assert expected is not None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -690,3 +699,122 @@ def _wrong_size_calls():
 def test_wrong_initial_size_is_an_input_error(entry):
     with pytest.raises(InputError, match=r"(2 components; expected 1|2 columns; the systems)"):
         _wrong_size_calls()[entry]()
+
+
+class TestStackedKernel:
+    """A pair steps as one stacked block, bit for bit as the two systems
+    stepped one step at a time, one path or an ensemble, whatever the
+    sub-block and draw-block boundaries."""
+
+    SEED, PATH = 29, 7
+
+    @staticmethod
+    def _case(name):
+        """(x's and y's (A, B, Sigma), x0, y0, u_x, u_y, metric, closures?)."""
+        if name in ("1d", "closure"):  # scalar products round alike in any grouping
+            sx, sy = ([[-1.5]], [[1.5]], [[0.4]]), ([[-0.8]], [[0.5]], [[0.3]])
+            x0, y0, ux, uy, P = [1.0], [-0.5], InputSignal.sinusoid([1.0]), ZERO, [[1.0]]
+        else:
+            sx = ([[-1.0, 0.4], [-0.3, -1.5]], [[1.0, 0.2], [0.0, 0.8]],
+                  [[0.3, 0.1], [0.05, 0.2]])
+            sy = (sx[0], sx[1], [[0.0, 0.0], [0.0, 0.0]]) if name == "sigma0" else sx
+            x0, y0, P = [1.0, -1.0], [0.0, 0.5], [[2.0, 0.3], [0.3, 1.0]]
+            ux, uy = InputSignal.sinusoid([1.0, 0.5]), InputSignal.constant([0.2, -0.1])
+        mats = [tuple(np.array(M, dtype=float) for M in s) for s in (sx, sy)]
+        return mats, x0, y0, ux, uy, P, name == "closure"
+
+    def _systems(self, mats, P, closures):
+        from contracting_sde import validate_metric
+
+        systems = [affine_system(*M, validate_metric(P)) for M in mats]
+        return [_closure_twin(s) for s in systems] if closures else systems
+
+    @pytest.mark.parametrize("steps, budget", [
+        (60, None),  # shorter than one sub-block
+        (300, 70),  # several sub-blocks and draw blocks: a budget of 70 steps a path
+    ])
+    @pytest.mark.parametrize("name, mode", [
+        ("1d", CouplingMode.INDEPENDENT),
+        ("1d", CouplingMode.COMMON),
+        ("2d", CouplingMode.INDEPENDENT),
+        ("2d", CouplingMode.COMMON),
+        ("sigma0", CouplingMode.INDEPENDENT),  # as niss_vs_ode
+        ("closure", CouplingMode.INDEPENDENT),
+    ])
+    def test_pair_equals_one_step_at_a_time(self, name, mode, steps, budget, monkeypatch):
+        from contracting_sde import integrate
+
+        mats, x0, y0, ux, uy, P, closures = self._case(name)
+        sys_x, sys_y = self._systems(mats, P, closures)
+        common = mode is CouplingMode.COMMON
+        width = 2 if common else 4
+        grid = TimeGrid(0.0, 1e-2, steps)
+        rows = [ux.values(grid.times()), uy.values(grid.times())]
+        if budget:
+            monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", 8 * width * (budget + 1))
+            assert len(list(integrate._draws(self.SEED, self.PATH, 1, steps, width))) >= 3
+        (xs, ys), div = _stepped_one_at_a_time(mats, [x0, y0], rows, common, grid,
+                                                self.SEED, self.PATH, 1)
+        assert div is None
+        tx, ty = integrate_pair(sys_x, sys_y, x0, y0, ux, uy, mode, grid,
+                                RngLineage(self.SEED, self.PATH))
+        assert np.array_equal(tx.states, xs[:, 0]) and np.array_equal(ty.states, ys[:, 0])
+
+        n_paths = 100
+        if budget:
+            monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", 8 * n_paths * width * (budget + 1))
+        (xs, ys), _ = _stepped_one_at_a_time(mats, [x0, y0], rows, common, grid,
+                                             self.SEED, 0, n_paths)
+        sq = np.stack([sys_x.metric.batch_norm_sq(e) for e in xs - ys])  # (steps+1, paths)
+        mean = sq.sum(axis=1) / n_paths
+        var = np.clip((sq * sq).sum(axis=1) - n_paths * mean**2, 0.0, None) / (n_paths - 1)
+        series = pair_error_moment(PairScenario(sys_x, sys_y, x0, y0, ux, uy, mode, grid),
+                                   n_paths, self.SEED)
+        assert np.array_equal(series.mean_sq, mean)
+        assert np.array_equal(series.std_err, np.sqrt(var / n_paths))
+
+    def test_divergence_of_y_alone_names_its_step_and_path(self):
+        # y' = y - 10 y dt = -9 y at dt = 1 overflows near step 200, in the
+        # second sub-block; x stays finite; the zero Lipschitz budgets keep
+        # the step-size warning quiet
+        mats = [(np.array([[-0.5]]), np.array([[0.5]]), np.array([[0.5]])),
+                (np.array([[-10.0]]), np.array([[0.0]]), np.array([[0.5]]))]
+        sys_x, sys_y = (affine_system(*M, identity_metric(1), lipschitz_budget=0.0)
+                        for M in mats)
+        x0, y0 = [1.0], [1.5 * (1.7976931348623157e308 / 9.0**200)]
+        grid = TimeGrid(0.0, 1.0, 300)
+        rows = [np.zeros((grid.steps + 1, 1))] * 2
+        for mode in CouplingMode:
+            common = mode is CouplingMode.COMMON
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, expected = _stepped_one_at_a_time(mats, [x0, y0], rows, common, grid,
+                                                     self.SEED, self.PATH, 1)
+                assert expected is not None and 128 < expected[0] < 256
+                with pytest.raises(DivergenceError) as exc:
+                    integrate_pair(sys_x, sys_y, x0, y0, ZERO, ZERO, mode, grid,
+                                   RngLineage(self.SEED, self.PATH))
+                assert (exc.value.step, exc.value.path_index) == expected
+                _, expected = _stepped_one_at_a_time(mats, [x0, y0], rows, common, grid,
+                                                     self.SEED, 0, 100)
+                with pytest.raises(DivergenceError) as exc:
+                    pair_error_moment(PairScenario(sys_x, sys_y, x0, y0, ZERO, ZERO, mode, grid),
+                                      100, self.SEED)
+                assert (exc.value.step, exc.value.path_index) == expected
+
+
+def test_pair_of_unequal_state_dimensions_is_an_input_error():
+    from contracting_sde import validate_metric
+
+    one = scalar_tracker(1.0, 0.2)
+    two = affine_system(-np.eye(2), np.ones((2, 1)), 0.2 * np.eye(2), validate_metric(np.eye(2)))
+    grid = TimeGrid(0.0, 1e-2, 5)
+    for sys_x, sys_y in ((one, two), (two, one)):
+        for mode in CouplingMode:
+            with pytest.raises(InputError, match="one state space"):
+                integrate_pair(sys_x, sys_y, [0.0] * sys_x.state_dim, [0.0] * sys_y.state_dim,
+                               ZERO, ZERO, mode, grid, RngLineage(0))
+            with pytest.raises(InputError, match="one state space"):
+                pair_error_moment(PairScenario(sys_x, sys_y, [0.0] * sys_x.state_dim,
+                                               [0.0] * sys_y.state_dim, ZERO, ZERO, mode, grid),
+                                  100, 0)

@@ -430,6 +430,11 @@ class TestWassersteinEnvelope:
         with pytest.raises(InputError):
             wasserstein_envelope(-1.0, 1.0, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, math.inf])
+    def test_time_outside_zero_to_infinity(self, t):
+        with pytest.raises(InputError, match="finite and >= 0"):
+            wasserstein_envelope(1.0, 1.0, 1.0, 0.0, t)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("slot", range(3))
     def test_nonfinite_constants(self, slot, bad):
