@@ -96,13 +96,16 @@ def _draws(master_seed, start, count, steps, width):
     # re-keying one Philox from its fresh state gives the same stream as a
     # new one, without the entropy draw that each construction makes
     fresh = gen.bit_generator.state
+    # row i is RngLineage(master_seed, start + i).key(); the index wraps past 2^64 as there
+    keys = np.full((count, 2), master_seed % (1 << 64), np.uint64)
+    keys[:, 1] = np.arange(count, dtype=np.uint64) + np.uint64(start % (1 << 64))
     paused = [None] * count
     for k0 in range(0, steps, span):
         n = min(span, steps - k0)
         block = buf[:, :n]
         for i in range(count):
             if k0 == 0:
-                fresh["state"]["key"] = RngLineage(master_seed, start + i).key()
+                fresh["state"]["key"] = keys[i]
                 gen.bit_generator.state = fresh
             else:
                 gen.bit_generator.state = paused[i]

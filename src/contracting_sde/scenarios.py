@@ -363,11 +363,15 @@ def _bound_params(kind: str, sc, eq) -> bnd.BoundParams:
     return bnd.BoundParams(**kwargs, E0=E0)
 
 
+def _fmt(values) -> list:
+    """Each value as a float's shortest round-trip repr."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
 def _write_csv(paths, header, cols):
-    """Format the CSV text of the equal-length columns ``cols`` once, each
-    value as its shortest round-trip repr, and write it to each of ``paths``."""
-    rows = np.column_stack(cols).tolist()
-    text = "\n".join([",".join(header), *(",".join(map(repr, r)) for r in rows)]) + "\n"
+    """Join the CSV text of the equal-length columns of formatted values
+    ``cols`` once and write it to each of ``paths``."""
+    text = "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
     for path in paths:
         path.write_text(text, encoding="utf-8", newline="")
 
@@ -430,12 +434,14 @@ def _run_moments(run: _Run, out_dir: Path) -> Verdict:
     bound_opt = env.eval_grid(elapsed, a_opt)
     verdict = compare_to_bound(series, bound_opt if opt else bound_fixed)
 
+    # each column shared by the two files is formatted once
+    t, b_fixed, b_opt = _fmt(times), _fmt(bound_fixed), _fmt(bound_opt)
     header = ["t", "mean_sq", "std_err", "bound_fixed_alpha", "bound_opt_alpha"]
-    cols = (times, series.mean_sq, series.std_err, bound_fixed, bound_opt)
+    cols = (t, _fmt(series.mean_sq), _fmt(series.std_err), b_fixed, b_opt)
     _write_csv([out_dir / "moments.csv", out_dir / "plotdata.csv"], header, cols)
+    fixed, optimized = _fmt([a_fixed, a_opt])
     _write_csv([out_dir / "envelope.csv"], ["t", "alpha", "bound"], (
-        np.concatenate([times, times]), np.repeat([a_fixed, a_opt], len(times)),
-        np.concatenate([bound_fixed, bound_opt])))
+        t + t, [fixed] * len(t) + [optimized] * len(t), b_fixed + b_opt))
     _write_verdict(out_dir, run.kind, verdict, alpha_fixed=a_fixed, alpha_optimized=a_opt)
     return verdict
 
@@ -446,7 +452,7 @@ def _run_wasserstein(run: _Run, out_dir: Path) -> Verdict:
     times, w_emp, env = wasserstein_series(sc, p, run.seed)
     verdict = _wasserstein_verdict(times, w_emp, env, sc.k)
     _write_csv([out_dir / "wasserstein.csv", out_dir / "plotdata.csv"],
-               ["t", "w_p_empirical", "envelope"], (times, w_emp, env))
+               ["t", "w_p_empirical", "envelope"], map(_fmt, (times, w_emp, env)))
     _write_verdict(out_dir, run.kind, verdict, p=run.p, k=sc.k)
     return verdict
 
@@ -477,7 +483,7 @@ def _run_gibbs(run: _Run, out_dir: Path) -> Verdict:
     holds = res["ks_stat"] <= crit
     density = gibbs_density(f, sigma, grid1d)
     _write_csv([out_dir / "gibbs.csv", out_dir / "plotdata.csv"], ["x", "density_model"],
-               (grid1d, density))
+               map(_fmt, (grid1d, density)))
     verdict = Verdict(holds=bool(holds),
                       worst_margin=float(crit - res["ks_stat"]) / crit,
                       worst_t=grid.horizon,

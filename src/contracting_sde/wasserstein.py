@@ -4,11 +4,17 @@ checks for gradient drifts.
 
 Distances between equal-weight empirical measures are computed exactly: by
 the sorted-order formula in one dimension and by an optimal-assignment
-solve in general. For p = infinity the bottleneck assignment bisects the
-distances between the largest row or column minimum and the largest
-diagonal distance max_i D[i, i]. Pairing sample i with sample i is a
-perfect matching whatever the order, so that diagonal bounds the answer
-from above; for the common-noise coupled clouds of ``wasserstein_series``
+solve in general. For p = 2 in l2 the assignment is solved on the squared
+distances between the centred clouds X - mean(X) and Y - mean(Y):
+translating either cloud changes the cost of every pairing by the same
+constant, so the optimal pairings are unchanged, and the solver is spared
+the near-ties of offset clouds and near-translates. The value is still taken
+from the uncentred distances at the pairing found, so it can move, by
+rounding, only where two pairings tie. For p = infinity the bottleneck
+assignment bisects the distances between the largest row or column minimum
+and the largest diagonal distance max_i D[i, i]. Pairing sample i with
+sample i is a perfect matching whatever the order, so that diagonal bounds
+the answer from above; for the common-noise coupled clouds of ``wasserstein_series``
 it is often the answer, so the first probe is at the largest distance below
 it, and if that probe fails the solve is done. Each probe is one
 Hopcroft-Karp matching on a CSR threshold graph built directly, each row's
@@ -63,36 +69,65 @@ def wasserstein_1d(xs, ys, p) -> float:
     """Exact W_p between equal-weight scalar empirical measures (sorted order)."""
     if not p >= 1:  # first, and NaN too: pow(1, nan) = 1 would make any W_p 1
         raise InputError(f"p must be >= 1 or inf, got {p}")
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
+    xs, ys = _scalar_samples(xs), _scalar_samples(ys)
     if xs.size == 0 or ys.size == 0:
         raise InputError("empty sample set")
     if xs.size != ys.size:
         raise InputError("sample counts must match")
-    d = np.abs(np.sort(xs) - np.sort(ys))
+    xs, ys = np.sort(xs), np.sort(ys)
+    # sorting puts -inf first and inf and NaN last
+    if not all(map(math.isfinite, (xs[0], xs[-1], ys[0], ys[-1]))):
+        raise InputError("samples must be finite")
+    d = np.abs(xs - ys)
     if p == math.inf:
         return float(d.max())
     return float(np.mean(d**p) ** (1.0 / p))
 
 
-def _pairwise_norms(X: np.ndarray, Y: np.ndarray, norm) -> np.ndarray:
-    if isinstance(norm, Metric):
-        X, Y = X @ norm.chol, Y @ norm.chol
-        norm = "l2"
-    if norm == "l2":  # coordinate by coordinate: no (k, k, n) difference tensor
-        def sq_sum(js):
-            out = (X[:, js[0], None] - Y[None, :, js[0]]) ** 2
-            for j in js[1:]:
-                out += (X[:, j, None] - Y[None, :, j]) ** 2
-            return out
+def _scalar_samples(v) -> np.ndarray:
+    """Samples of shape (k,) or (k, 1) as a (k,) float array."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 2 and v.shape[1] == 1:
+        v = v[:, 0]
+    if v.ndim != 1:
+        raise InputError(f"scalar samples must have shape (k,) or (k, 1), got {v.shape}")
+    return v
 
-        # even and odd coordinates summed apart, then added: the order of
-        # numpy's two-lane einsum reduction, so for n <= 7 the distances are
-        # bit for bit those of the einsum form
-        n = X.shape[1]
-        out = sq_sum(range(0, n, 2))
-        if n > 1:
-            out += sq_sum(range(1, n, 2))
+
+def _to_l2(X: np.ndarray, Y: np.ndarray, norm):
+    """(X, Y, norm), a weighted norm turned into l2 by mapping both clouds
+    through its Cholesky factor."""
+    if isinstance(norm, Metric):
+        return X @ norm.chol, Y @ norm.chol, "l2"
+    return X, Y, norm
+
+
+def _sq_l2(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared l2 distances between the points of X and Y, (..., n) arrays
+    broadcast against each other, summed coordinate by coordinate: no
+    difference tensor with a trailing axis of n.
+
+    Even and odd coordinates are summed apart, then added: the order of
+    numpy's two-lane einsum reduction, so for n <= 7 the distances are bit
+    for bit those of the einsum form.
+    """
+    def sq_sum(js):
+        out = (X[..., js[0]] - Y[..., js[0]]) ** 2
+        for j in js[1:]:
+            out += (X[..., j] - Y[..., j]) ** 2
+        return out
+
+    n = X.shape[-1]
+    out = sq_sum(range(0, n, 2))
+    if n > 1:
+        out += sq_sum(range(1, n, 2))
+    return out
+
+
+def _pairwise_norms(X: np.ndarray, Y: np.ndarray, norm) -> np.ndarray:
+    X, Y, norm = _to_l2(X, Y, norm)
+    if norm == "l2":
+        out = _sq_l2(X[:, None], Y[None])
         return np.sqrt(out, out=out)
     diff = X[:, None, :] - Y[None, :, :]
     if norm == "l1":
@@ -106,7 +141,10 @@ def wasserstein_assignment(mx: EmpiricalMeasure, my: EmpiricalMeasure, p, norm="
     """Exact W_p between equal-size empirical measures via optimal assignment.
 
     Finite p minimizes the mean p-th power cost; p = infinity solves the
-    bottleneck assignment (minimize the largest matched distance).
+    bottleneck assignment (minimize the largest matched distance). For
+    p = 2 in l2 or a weighted norm the pairing is solved on the centred
+    clouds, which have the same optimal pairings; the value is taken from
+    the uncentred distances of the pairing found.
     """
     if not p >= 1:  # before the k x k distances, and NaN too
         raise InputError(f"p must be >= 1 or inf, got {p}")
@@ -114,11 +152,23 @@ def wasserstein_assignment(mx: EmpiricalMeasure, my: EmpiricalMeasure, p, norm="
 
     if mx.k != my.k:
         raise InputError("sample counts must match")
+    if mx.dim != my.dim:
+        raise InputError(f"sample dimensions must match, got {mx.dim} and {my.dim}")
     if mx.k > MAX_SAMPLES:
         raise CapacityError(
             f"{mx.k} samples exceed the cap of {MAX_SAMPLES}; subsample first"
         )
-    D = _pairwise_norms(mx.samples, my.samples, norm)
+    X, Y, norm = _to_l2(mx.samples, my.samples, norm)
+    if p == 2 and norm == "l2":
+        # translating either cloud changes sum_i ||x_i - y_s(i)||^2 by a
+        # constant independent of the pairing s, so the centred clouds have
+        # the same optimal pairings, without the large row and column
+        # potentials that offset clouds cost the solver
+        Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
+        rows, cols = scipy.optimize.linear_sum_assignment(_sq_l2(Xc[:, None], Yc[None]))
+        d = np.sqrt(_sq_l2(X[rows], Y[cols]))  # bit for bit D[rows, cols]
+        return float(np.mean(d**p) ** (1.0 / p))
+    D = _pairwise_norms(X, Y, norm)
     if p == math.inf:
         return _bottleneck_assignment(D)
     rows, cols = scipy.optimize.linear_sum_assignment(D**p)
@@ -309,8 +359,7 @@ def _fill_clouds(clouds, idx, paths, blocks):
 
 
 def _cloud_distance(X, Y, p, norm):
-    if isinstance(norm, Metric):  # a weighted norm is l2 after the Cholesky map
-        X, Y, norm = X @ norm.chol, Y @ norm.chol, "l2"
+    X, Y, norm = _to_l2(X, Y, norm)
     if X.shape[1] == 1 and norm in ("l1", "l2", "linf"):
         return wasserstein_1d(X[:, 0], Y[:, 0], p)
     return wasserstein_assignment(EmpiricalMeasure(X), EmpiricalMeasure(Y), p, norm)

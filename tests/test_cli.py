@@ -178,6 +178,22 @@ class TestParseConfig:
         assert cfg.data["p"] == "inf" and cfg.data["cloud"]["k"] == 128
         assert run_scenario(cfg, tmp_path / "bundle").holds
 
+    def test_shipped_2d_assignment_config_is_below_the_bottleneck(self, tmp_path):
+        # the same system, clouds and seed with p = 2: W_2 <= W_inf at every checkpoint
+        w, data = {}, {}
+        for name in ("wasserstein_assignment_2d", "wasserstein_bottleneck_2d"):
+            cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))
+            data[name] = {**cfg.data, "p": None}
+            assert run_scenario(cfg, tmp_path / name).holds
+            w[name] = np.loadtxt(tmp_path / name / "wasserstein.csv", delimiter=",",
+                                 skiprows=1)
+        assert data["wasserstein_assignment_2d"] == data["wasserstein_bottleneck_2d"]
+        w2, winf = w["wasserstein_assignment_2d"], w["wasserstein_bottleneck_2d"]
+        assert w2.shape == winf.shape == (21, 3)
+        assert np.array_equal(w2[:, 0], winf[:, 0])
+        assert np.all(w2[:, 1] <= winf[:, 1])
+        assert np.all(w2[:, 1] > 0.0)
+
     def test_shipped_2d_bottleneck_config_probe_count(self, tmp_path, monkeypatch):
         # 21 W_inf solves at the config's seed: 139 matchings when only the
         # bisection cut moved the bracket, 95 when each matching found does

@@ -4,6 +4,7 @@ envelope, and the Gibbs stationarity checks."""
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,27 @@ class TestWasserstein1d:
             wasserstein_1d([1.0], [1.0, 2.0], 2)
         with pytest.raises(InputError):
             wasserstein_1d([1.0, 2.0], [1.0, 2.0], 0.5)
+
+    def test_column_samples_keep_working(self):
+        xs, ys = np.array([0.0, 1.0, 5.0]), np.array([1.0, 3.0, 2.0])
+        want = wasserstein_1d(xs, ys, 2)
+        assert wasserstein_1d(xs[:, None], ys[:, None], 2) == want
+        assert wasserstein_1d(xs[:, None], ys, 2) == want
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 3), (2, 3, 1), ()])
+    def test_multidimensional_samples_rejected(self, shape):
+        # a (3, 2) pair was flattened into 6 "samples" and gave 1.0
+        with pytest.raises(InputError, match=r"shape \(k,\) or \(k, 1\)"):
+            wasserstein_1d(np.zeros(shape), np.ones(shape), 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # these gave NaN with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xs, ys in (([0.0, bad], [1.0, 2.0]), ([0.0, 1.0], [[bad], [2.0]])):
+                with pytest.raises(InputError, match="finite"):
+                    wasserstein_1d(xs, ys, 2)
 
     @pytest.mark.parametrize("p", [math.nan, 0.5, 0.0, -math.inf])
     def test_order_checked_before_any_work(self, p, monkeypatch):
@@ -141,6 +163,18 @@ class TestWassersteinAssignment:
         with pytest.raises(InputError):
             wasserstein_assignment(
                 EmpiricalMeasure([[0.0], [1.0]]), EmpiricalMeasure([[0.0], [1.0]]), 0.3)
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_unequal_dimensions_rejected_before_any_work(self, p, monkeypatch):
+        # Y's third coordinate was ignored: W_2 came out as sqrt(2)
+        def no_distances(*args):
+            raise AssertionError("distances built before the dimensions were checked")
+
+        monkeypatch.setattr(wasserstein, "_pairwise_norms", no_distances)
+        monkeypatch.setattr(wasserstein, "_sq_l2", no_distances)
+        with pytest.raises(InputError, match="dimensions must match"):
+            wasserstein_assignment(EmpiricalMeasure(np.zeros((3, 2))),
+                                   EmpiricalMeasure(np.ones((3, 3))), p)
 
     def test_empirical_measure_validation(self):
         with pytest.raises(InputError):
@@ -386,6 +420,96 @@ class TestPairwiseNorms:
         diff = X[:, None, :] - Y[None, :, :]
         assert np.array_equal(_pairwise_norms(X, Y, "l1"), np.abs(diff).sum(axis=2))
         assert np.array_equal(_pairwise_norms(X, Y, "linf"), np.abs(diff).max(axis=2))
+
+
+def _w2_lsa(X, Y):
+    """Reference W_2: scipy's assignment on the uncentred squared distances."""
+    D = _einsum_l2(X, Y)
+    rows, cols = scipy.optimize.linear_sum_assignment(D**2)
+    return float(np.mean(D[rows, cols] ** 2) ** 0.5)
+
+
+def _offset_cases(rng, k, n):
+    """(X, Y) pairs: offset clouds, near-translates, and both far from 0."""
+    X = rng.standard_normal((k, n))
+    shift = rng.uniform(-20.0, 20.0, n)
+    yield X, rng.standard_normal((k, n)) + shift
+    yield X, X + shift + 1e-6 * rng.standard_normal((k, n))
+    yield X + 1e3, X[rng.permutation(k)] + shift + 1e-3 * rng.standard_normal((k, n))
+
+
+class TestCentredW2Solve:
+    """W_2 is solved on centred clouds: the same value as the plain solve."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_matches_brute_force_permutations(self, k, n):
+        rng = np.random.default_rng(100 * n + k)
+        perms = np.array(list(itertools.permutations(range(k))))
+        G = rng.standard_normal((n, n))
+        P = G @ G.T + n * np.eye(n)
+        m = validate_metric(P)
+        for X, Y in _offset_cases(rng, k, n):
+            diff = X[:, None, :] - Y[None, :, :]
+            for norm, cost in (("l2", np.sum(diff**2, axis=2)),
+                               (m, np.einsum("ijk,kl,ijl->ij", diff, P, diff))):
+                best = math.sqrt(cost[np.arange(k), perms].mean(axis=1).min())
+                got = wasserstein_assignment(EmpiricalMeasure(X), EmpiricalMeasure(Y), 2, norm)
+                assert got == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_uncentred_solve_at_k_128(self, n):
+        rng = np.random.default_rng(60 + n)
+        for X, Y in _offset_cases(rng, 128, n):
+            got = wasserstein_assignment(EmpiricalMeasure(X), EmpiricalMeasure(Y), 2)
+            assert got == _w2_lsa(X, Y)
+
+    def test_equals_the_uncentred_solve_on_coupled_clouds(self, monkeypatch):
+        clouds = []
+        distance = wasserstein._cloud_distance
+
+        def recorded(X, Y, p, norm):
+            clouds.append((X, Y, norm))
+            return distance(X, Y, p, norm)
+
+        monkeypatch.setattr(wasserstein, "_cloud_distance", recorded)
+        rng = np.random.default_rng(7)
+        G = rng.standard_normal((2, 2))
+        metric = validate_metric(G @ G.T + 2.0 * np.eye(2))
+        sys = affine_system([[-1.5, 0.45], [-0.45, -1.5]], np.eye(2), 0.3 * np.eye(2), metric)
+        X0 = rng.standard_normal((128, 2)) + [0.0, 4.0]
+        u_x, u_y = InputSignal.constant([1.0, 0.0]), InputSignal.constant([0.0, 0.0])
+        sc = WassersteinScenario(sys, sys, X0, rng.standard_normal((128, 2)), u_x, u_y,
+                                 TimeGrid(0.0, 0.025, 300))
+        _, w_emp, _ = wasserstein_series(sc, 2, 2602)
+        assert len(clouds) == len(w_emp) == 21
+        for (X, Y, norm), w in zip(clouds, w_emp):
+            assert w == _w2_lsa(X @ norm.chol, Y @ norm.chol)
+
+    def test_translation_keeps_the_pairing(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        k = 128
+        X, Y = rng.standard_normal((k, 2)), rng.standard_normal((k, 2)) + [0.0, 4.0]
+        pairings = []
+        solve = scipy.optimize.linear_sum_assignment
+
+        def recorded(cost):
+            rows, cols = solve(cost)
+            pairings.append(cols)
+            return rows, cols
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", recorded)
+        w = wasserstein_assignment(EmpiricalMeasure(X), EmpiricalMeasure(Y), 2)
+        gap = X.mean(axis=0) - Y.mean(axis=0)
+        for a in ([30.0, -7.0], [-1e3, 2e3]):
+            a = np.array(a)
+            # mean_i |x_i + a - y_s(i)|^2 = mean_i |x_i - y_s(i)|^2 + 2 a.gap + |a|^2,
+            # whatever the pairing s
+            for Xa, Ya, shift in ((X + a, Y, a), (X, Y + a, -a)):
+                wa = wasserstein_assignment(EmpiricalMeasure(Xa), EmpiricalMeasure(Ya), 2)
+                assert np.array_equal(pairings[-1], pairings[0])
+                want = w**2 + 2.0 * shift @ gap + shift @ shift
+                assert wa**2 == pytest.approx(want, rel=1e-12)
 
 
 class TestMetricProperties:
