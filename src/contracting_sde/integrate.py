@@ -26,6 +26,16 @@ Euler's. Finiteness is checked once per sub-block: the finite steps are
 handed on, then DivergenceError names the first non-finite step and
 path, x before y.
 
+The normals of a chunk come from ``_draws`` in time blocks. When a block
+holds at least _SPLIT_FILL normals per path of two or more paths and the
+process may run on two or more CPUs, DRAW_BLOCK_BYTES is split into two
+buffers of half the size, and the rows of each block are shared between
+the calling thread and one helper thread with its own generator, which
+also fills the next block into the other buffer while the stepper
+consumes this one; closing the draws joins the helper. Row i is path i's
+stream in step order whichever thread fills it, so every draw, and every
+result, is the same as on one thread.
+
 The order of operations is that of x + F(x, u) dt + Sigma dB, so in one
 dimension every result is bit-identical to stepping the closures one step
 at a time; for n >= 2 the two agree to within 1e-14 relative, as a
@@ -36,6 +46,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -73,7 +85,18 @@ CHUNK_SIZE = 512  # paths per chunk: bounds a chunk's draw memory and fixes the 
 _STEP_BLOCK = 128  # steps per sub-block; a chunk's step-major buffers stay in cache
 
 
-DRAW_BLOCK_BYTES = 16 << 20  # bound on one chunk's buffer of normals, whatever the horizon
+DRAW_BLOCK_BYTES = 16 << 20  # bound on one chunk's buffers of normals, whatever the horizon
+
+
+_SPLIT_FILL = 1024  # normals per path and block below which a chunk is filled on one thread
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _draws(master_seed, start, count, steps, width):
@@ -85,34 +108,123 @@ def _draws(master_seed, start, count, steps, width):
     stream is paused between blocks and resumed from the saved state, so
     the blocks concatenate to one ``standard_normal((steps, width))`` call
     per path and a path's increments do not depend on the block it is
-    stepped in. Every block is a view of one reused buffer of at most
-    DRAW_BLOCK_BYTES, valid until the next block is drawn.
+    stepped in, nor on the thread that filled it. Every block is a view of
+    a buffer reused in turn, valid until the next block is drawn; all
+    buffers together hold at most DRAW_BLOCK_BYTES.
+
+    With two or more CPUs, two or more paths and at least _SPLIT_FILL
+    normals per path and block, the budget is split into two buffers and
+    each block is filled by the calling thread and one helper thread, each
+    with its own generator, claiming rows from one shared iterator under a
+    lock. Block 0 is filled by both; before block b is yielded a helper
+    starts filling block b + 1 into the other buffer, and the caller joins
+    in when it asks for that block. On close the rows left are claimed and
+    the helper is joined, so no thread outlives the generator. A shorter
+    fill stays on one thread and one buffer: saving and restoring a
+    stream's state under the interpreter lock would cost more than the
+    fill that is shared.
     """
-    span = max(1, min(steps, DRAW_BLOCK_BYTES // (8 * count * max(width, 1)) - 1))
-    # an odd row length keeps path rows from sitting a power-of-two stride
-    # apart, where the strided per-step reads would alias in the cache
-    buf = np.empty((count, span | 1, width))
-    gen = RngLineage(master_seed, start).stream()
-    # re-keying one Philox from its fresh state gives the same stream as a
-    # new one, without the entropy draw that each construction makes
-    fresh = gen.bit_generator.state
     # row i is RngLineage(master_seed, start + i).key(); the index wraps past 2^64 as there
     keys = np.full((count, 2), master_seed % (1 << 64), np.uint64)
     keys[:, 1] = np.arange(count, dtype=np.uint64) + np.uint64(start % (1 << 64))
     paused = [None] * count
-    for k0 in range(0, steps, span):
-        n = min(span, steps - k0)
-        block = buf[:, :n]
-        for i in range(count):
-            if k0 == 0:
-                fresh["state"]["key"] = keys[i]
-                gen.bit_generator.state = fresh
-            else:
-                gen.bit_generator.state = paused[i]
-            gen.standard_normal(out=block[i])
+
+    def span(budget):
+        return max(1, min(steps, budget // (8 * count * max(width, 1)) - 1))
+
+    split = count > 1 and span(DRAW_BLOCK_BYTES // 2) * width >= _SPLIT_FILL and _cpus() > 1
+    n = span(DRAW_BLOCK_BYTES // 2 if split else DRAW_BLOCK_BYTES)
+    starts = range(0, steps, n)
+    # a buffer holds its first and longest block; an odd row length keeps
+    # path rows from sitting a power-of-two stride apart, where the strided
+    # per-step reads would alias in the cache
+    bufs = [np.empty((count, min(n, steps - k0) | 1, width)) for k0 in starts[:1 + split]]
+
+    def filler():
+        """fill(rows, k0): draw the given rows of the block at step k0."""
+        gen = RngLineage(master_seed, start).stream()
+        # re-keying one Philox from its fresh state gives the same stream as
+        # a new one, without the entropy draw that each construction makes
+        fresh = gen.bit_generator.state
+
+        def fill(rows, k0):
+            block = bufs[k0 // n % len(bufs)][:, :min(n, steps - k0)]
+            for i in rows:
+                if k0 == 0:
+                    fresh["state"]["key"] = keys[i]
+                    gen.bit_generator.state = fresh
+                else:
+                    gen.bit_generator.state = paused[i]
+                gen.standard_normal(out=block[i])
+                if k0 + n < steps:
+                    paused[i] = gen.bit_generator.state
+            return block
+        return fill
+
+    fill = filler()
+    if not split:
+        for k0 in starts:
+            yield fill(range(count), k0)
+        return
+    shared = _SharedFill(fill, filler(), count)
+    try:
+        shared.start(0)
+        for k0 in starts:
+            block = shared.finish(k0)
             if k0 + n < steps:
-                paused[i] = gen.bit_generator.state
-        yield block
+                shared.start(k0 + n)
+            yield block
+    finally:
+        shared.cancel()
+
+
+class _SharedFill:
+    """One draw block at a time, its rows claimed from one iterator of row
+    indices by a helper thread and the calling thread, each filling with
+    its own ``fill(rows, k0)``."""
+
+    def __init__(self, fill, helper_fill, count):
+        self.fill, self.helper_fill, self.count = fill, helper_fill, count
+        self.lock = threading.Lock()
+        self.thread = None
+
+    def _claim(self):
+        while True:
+            with self.lock:
+                i = next(self.rows, None)
+            if i is None:
+                return
+            yield i
+
+    def _help(self, k0):
+        try:
+            self.helper_fill(self._claim(), k0)
+        except BaseException as err:  # raised again on the calling thread
+            self.error = err
+
+    def start(self, k0):
+        """Start the helper on the block at step k0."""
+        self.rows, self.error = iter(range(self.count)), None
+        self.thread = threading.Thread(target=self._help, args=(k0,), name="draws")
+        self.thread.start()
+
+    def finish(self, k0):
+        """Fill the rows left on this thread, join the helper and return the block."""
+        block = self.fill(self._claim(), k0)
+        self.thread.join()
+        self.thread = None
+        if self.error is not None:
+            raise self.error
+        return block
+
+    def cancel(self):
+        """Claim every row left, so that the helper stops after its row, and join it."""
+        if self.thread is not None:
+            with self.lock:
+                for _ in self.rows:
+                    pass
+            self.thread.join()
+            self.thread = None
 
 
 def _check_finite(x, step, start):

@@ -22,7 +22,9 @@ of the same system one step at a time; for n >= 2 these agree to within
 different number of rows. Ensembles run serially in fixed-size chunks,
 which bound the memory of each chunk's draws; their sums are added in
 chunk order, so a result depends only on the seed and the inputs. The
-estimators' ``n_workers`` argument is accepted and has no effect.
+estimators' ``n_workers`` argument is accepted and has no effect; it does
+not govern the helper thread that fills a chunk's normals
+(``integrate._draws``).
 """
 
 from __future__ import annotations

@@ -44,12 +44,18 @@ MAX_SAMPLES = 2048
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Uniformly weighted empirical measure on k >= 2 sample points."""
+    """Uniformly weighted empirical measure on k >= 2 sample points, given
+    as a (k, n) array or, for scalar samples, a (k,) array."""
 
     samples: np.ndarray  # (k, n)
 
     def __post_init__(self):
-        s = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        s = np.asarray(self.samples, dtype=float)
+        if s.ndim == 1:  # k scalar samples, as wasserstein_1d reads them
+            s = s[:, None]
+        elif s.ndim != 2:
+            raise InputError(
+                f"empirical measure samples must be a (k,) or (k, n) array; got shape {s.shape}")
         if s.shape[0] < 2:
             raise InputError("empirical measure needs at least 2 samples")
         if not np.all(np.isfinite(s)):
@@ -309,7 +315,8 @@ def wasserstein_series(
     path pair i is driven by the stream keyed (master_seed, i). Distances
     are measured in ``norm``, by default the first system's metric, in
     which the envelope's c and ell are certified. ``n_workers`` is accepted
-    and has no effect.
+    and has no effect; it does not govern the helper thread that fills a
+    chunk's normals (``integrate._draws``).
     """
     sc = scenario
     norm = sc.sys_x.metric if norm is None else norm
@@ -374,7 +381,7 @@ def verify_wasserstein_contraction(
     n_workers: int = 1,
 ) -> Verdict:
     """Check empirical W_p <= envelope * (1 + 2/sqrt(k)) at every checkpoint;
-    ``n_workers`` is accepted and has no effect."""
+    ``n_workers`` is accepted and has no effect, as in ``wasserstein_series``."""
     series = wasserstein_series(scenario, p, master_seed, checkpoints=checkpoints, norm=norm)
     return _wasserstein_verdict(*series, scenario.k)
 

@@ -1,7 +1,12 @@
 """Tests for trajectory generation: Euler-Maruyama, coupled pairs,
 input-noise cascades and the RK4 reference solver."""
 
+import faulthandler
 import math
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -818,3 +823,200 @@ def test_pair_of_unequal_state_dimensions_is_an_input_error():
                 pair_error_moment(PairScenario(sys_x, sys_y, [0.0] * sys_x.state_dim,
                                                [0.0] * sys_y.state_dim, ZERO, ZERO, mode, grid),
                                   100, 0)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The names of the threads started during the test."""
+    names = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return names
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def no_hang():
+    # a hang in a join would stop the suite: end the process with the stacks instead
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+class TestThreadedDraws:
+    """A chunk's normals filled on two threads, one block ahead of the
+    stepper, are each path's one stream, whichever thread fills a row; the
+    buffers stay within DRAW_BLOCK_BYTES and no thread outlives a run."""
+
+    @staticmethod
+    def _budget(count, width, span):
+        """A DRAW_BLOCK_BYTES whose halves hold blocks of ``span`` steps."""
+        return 2 * 8 * count * width * (span + 1)
+
+    @staticmethod
+    def _reference(seed, start, count, steps, width):
+        return np.stack([RngLineage(seed, start + i).stream().standard_normal((steps, width))
+                         for i in range(count)])
+
+    def _drawn(self, seed, start, count, steps, width):
+        from contracting_sde import integrate
+
+        blocks, bases = [], {}
+        for b in integrate._draws(seed, start, count, steps, width):
+            bases[id(b.base)] = b.base
+            blocks.append(b.copy())
+        assert sum(b.nbytes for b in bases.values()) <= integrate.DRAW_BLOCK_BYTES
+        return np.concatenate(blocks, axis=1), [b.shape[1] for b in blocks], len(bases)
+
+    @pytest.mark.parametrize("seed, start, count, width, span", [
+        (3, 0, 2, 1, 1024),
+        (-5, 2**64 - 4, 7, 2, 512),  # negative seed; keys wrap past 2^64
+        (11, 40, 512, 3, 342),
+        (8, 2**64 - 300, 512, 4, 256),
+    ])
+    def test_split_fill_equals_one_call_per_path(self, seed, start, count, width, span,
+                                                 monkeypatch, started, two_cpus):
+        from contracting_sde import integrate
+
+        monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", self._budget(count, width, span))
+        steps = 3 * span + span // 3
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads interleave between rows
+        try:
+            drawn, spans, buffers = self._drawn(seed, start, count, steps, width)
+        finally:
+            sys.setswitchinterval(old)
+        assert spans == [span] * 3 + [span // 3] and buffers == 2
+        assert len(started) == 4  # block 0 and the prefetch of each later block
+        assert np.array_equal(drawn, self._reference(seed, start, count, steps, width))
+
+    def test_one_block_is_split_without_a_second_buffer(self, started, two_cpus):
+        drawn, spans, buffers = self._drawn(7, 1, 512, 1000, 2)
+        assert spans == [1000] and buffers == 1 and len(started) == 1
+        assert np.array_equal(drawn, self._reference(7, 1, 512, 1000, 2))
+
+    def test_a_split_run_of_two_blocks_holds_no_more_rows_than_it_draws(self, two_cpus):
+        from contracting_sde import integrate
+
+        # 1000 steps of 4 normals: blocks of 511 and 489 steps, one buffer each
+        bases = {id(b.base): b.base for b in integrate._draws(3, 0, 512, 1000, 4)}
+        assert sorted(b.shape[1] for b in bases.values()) == [489, 511]
+
+    @pytest.mark.parametrize("count, steps, width", [
+        (1, 5000, 2),  # a single path
+        (512, 250, 2),  # 500 normals per path
+        (512, 1023, 1),
+    ])
+    def test_short_fills_and_single_paths_stay_on_one_thread(self, count, steps, width,
+                                                             started, two_cpus):
+        drawn, spans, buffers = self._drawn(5, 9, count, steps, width)
+        assert spans == [steps] and buffers == 1 and started == []
+        assert np.array_equal(drawn, self._reference(5, 9, count, steps, width))
+
+    def test_one_cpu_fills_on_the_calling_thread(self, monkeypatch, started):
+        from contracting_sde import integrate
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        # with two CPUs this budget would be split into blocks of 999 steps
+        monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", 8 * 6 * 2 * 2001)
+        drawn, spans, buffers = self._drawn(2, 3, 6, 5000, 2)
+        assert spans == [2000, 2000, 1000] and buffers == 1 and started == []
+        assert np.array_equal(drawn, self._reference(2, 3, 6, 5000, 2))
+
+    def test_draw_buffers_are_bounded_at_the_default_budget(self, two_cpus):
+        from contracting_sde import integrate
+
+        rows, bases = (0, 255, 511), {}
+        kept = {i: [] for i in rows}
+        for b in integrate._draws(1, 0, 512, 10_000, 2):
+            bases[id(b.base)] = b.base
+            for i in rows:
+                kept[i].append(b[i].copy())
+        assert len(bases) == 2
+        assert sum(b.nbytes for b in bases.values()) <= integrate.DRAW_BLOCK_BYTES
+        for i in rows:
+            assert np.array_equal(np.concatenate(kept[i]),
+                                  RngLineage(1, i).stream().standard_normal((10_000, 2)))
+
+    def test_no_thread_outlives_a_run(self, monkeypatch, started, two_cpus, no_hang):
+        from contracting_sde import integrate
+
+        monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", self._budget(512, 1, 1024))
+        baseline = threading.active_count()
+        for _ in integrate._draws(0, 0, 512, 5000, 1):
+            pass
+        assert threading.active_count() == baseline
+        assert len(started) == 5  # block 0 and the prefetch of blocks 1 to 4
+        gen = integrate._draws(0, 0, 512, 5000, 1)
+        next(gen)
+        gen.close()  # while the helper fills block 1
+        assert threading.active_count() == baseline
+        assert len(started) == 5 + 2
+
+    @pytest.mark.parametrize("mode", list(CouplingMode))
+    def test_divergence_mid_run_joins_the_helper(self, mode, monkeypatch, started, two_cpus,
+                                                 no_hang):
+        from contracting_sde import integrate
+        from contracting_sde.integrate import _blocks, _collect
+
+        # x' = x - 3 x dt = -2 x at dt = 1: the noise grows past the largest
+        # double near step 1025, in the second of four draw blocks
+        sys_ = affine_system([[-3.0]], [[0.0]], [[0.5]], identity_metric(1), lipschitz_budget=0.0)
+        width = 1 if mode is CouplingMode.COMMON else 2
+        monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", self._budget(3, width, 1024))
+        grid, x0 = TimeGrid(0.0, 1.0, 4000), np.zeros((3, 1))
+        rows = [np.zeros((grid.steps + 1, 1))] * 2
+        baseline = threading.active_count()
+        with pytest.raises(DivergenceError) as exc:
+            _collect(_blocks([sys_, sys_], [x0, x0], rows, grid, 4, 0,
+                             common=mode is CouplingMode.COMMON), grid.steps)
+        assert 1024 < exc.value.step < 2048
+        assert threading.active_count() == baseline
+        assert len(started) == 3  # block 0, and blocks 1 and 2 fetched ahead
+
+    @pytest.mark.parametrize("failing_block", [0, 1])
+    def test_an_error_on_the_helper_reaches_the_caller(self, failing_block, monkeypatch,
+                                                       started, two_cpus, no_hang):
+        from contracting_sde import integrate
+
+        first = []  # the buffer of block 0
+
+        class Failing:
+            """A generator that fails on the helper thread from ``failing_block`` on."""
+
+            def __init__(self, gen):
+                self._gen = gen
+
+            def standard_normal(self, out):
+                first[:] = first or [out.base]
+                in_block_0 = out.base is first[0]
+                if threading.current_thread() is threading.main_thread():
+                    if in_block_0 and failing_block == 0:
+                        time.sleep(0.005)  # the helper claims rows of block 0
+                elif failing_block == 0 or not in_block_0:
+                    raise FloatingPointError("helper failed")
+                return self._gen.standard_normal(out=out)
+
+            def __getattr__(self, attr):
+                return getattr(self._gen, attr)
+
+        stream = RngLineage.stream
+        monkeypatch.setattr(RngLineage, "stream", lambda self: Failing(stream(self)))
+        monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", self._budget(8, 1, 1024))
+        baseline = threading.active_count()
+        blocks = 0
+        with pytest.raises(FloatingPointError, match="helper failed"):
+            for _ in integrate._draws(0, 0, 8, 5000, 1):
+                blocks += 1
+                time.sleep(0.02)  # the helper claims rows of the next block alone
+        assert blocks == failing_block
+        assert threading.active_count() == baseline

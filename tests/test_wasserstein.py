@@ -182,6 +182,22 @@ class TestWassersteinAssignment:
         with pytest.raises(InputError):
             EmpiricalMeasure([[1.0], [math.nan]])
 
+    def test_one_dimensional_array_is_k_scalar_samples(self):
+        xs, ys = np.array([0.0, 1.0, 2.0]), np.array([0.5, 2.5, 1.0])
+        mx, my = EmpiricalMeasure(xs), EmpiricalMeasure(ys)
+        assert mx.samples.shape == (3, 1) and (mx.k, mx.dim) == (3, 1)
+        assert np.array_equal(mx.samples, EmpiricalMeasure(xs[:, None]).samples)
+        for p in (1, 2, math.inf):
+            assert wasserstein_assignment(mx, my, p) == pytest.approx(
+                wasserstein_1d(xs, ys, p), rel=1e-12)
+        with pytest.raises(InputError, match="at least 2 samples"):
+            EmpiricalMeasure(np.array([1.0]))
+
+    @pytest.mark.parametrize("samples", [1.0, np.zeros((3, 2, 2)), np.zeros((2, 3, 1, 1))])
+    def test_samples_of_another_rank_are_an_input_error(self, samples):
+        with pytest.raises(InputError, match=r"\(k,\) or \(k, n\)"):
+            EmpiricalMeasure(samples)
+
 
 def _lsa_bottleneck(D):
     """Reference bottleneck value: bisect the sorted distinct entries of D,
