@@ -14,44 +14,36 @@ CONTRACTING_SDE_OUT environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .scenarios import ScenarioConfig, parse_config, resolve_output_dir, run_scenario
+from .scenarios import ScenarioConfig, _json_object, resolve_output_dir, run_scenario
 
 EXIT_HOLDS = 0
 EXIT_ERROR = 1
 EXIT_FAILS = 2
 
 
-def _load(path: str) -> ScenarioConfig:
+def _load(path: str, **overrides) -> ScenarioConfig:
+    """The config at ``path`` with each override that is not None set as its
+    key, checked and built once."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
-    return parse_config(text)
-
-
-def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    data = dict(cfg.data)
-    if getattr(args, "paths", None) is not None:
-        data["n_paths"] = args.paths
-    if getattr(args, "seed", None) is not None:
-        data["master_seed"] = args.seed
-    if getattr(args, "alpha", None) is not None:
-        try:
-            data["alpha_policy"] = float(args.alpha)
-        except ValueError:  # "opt", or text that parse_config rejects
-            data["alpha_policy"] = args.alpha
-    if getattr(args, "workers", None) is not None:
-        data["n_workers"] = args.workers
-    return parse_config(json.dumps(data))
+    data = _json_object(text)
+    data.update((key, value) for key, value in overrides.items() if value is not None)
+    return ScenarioConfig(data.get("scenario_kind"), data)
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(_load(args.config), args)
+    try:
+        alpha = float(args.alpha)
+    except (TypeError, ValueError):  # not given, "opt", or text that the config check rejects
+        alpha = args.alpha
+    cfg = _load(args.config, n_paths=args.paths, master_seed=args.seed, alpha_policy=alpha,
+                n_workers=args.workers)
     out_dir = resolve_output_dir(cfg, args.out, Path(args.config).stem)
     if args.dry_run:
         print(cfg.serialize(), end="")

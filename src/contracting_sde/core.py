@@ -98,6 +98,15 @@ def identity_metric(dim: int) -> Metric:
     return validate_metric(np.eye(dim))
 
 
+def _integer(v, name: str = "value") -> int:
+    """``v`` as an int: an integer, or a float of integral value; a bool, a
+    string or any other number raises InputError."""
+    if isinstance(v, (bool, np.bool_)) or not (
+            isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()):
+        raise InputError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid t_k = t0 + k * dt, k = 0..steps."""
@@ -109,6 +118,9 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.dt < np.inf:  # NaN fails too
             raise InputError("dt must be positive and finite")
+        if not np.isfinite(self.t0):
+            raise InputError("t0 must be finite")
+        object.__setattr__(self, "steps", _integer(self.steps, "steps"))
         if self.steps < 0:
             raise InputError("steps must be nonnegative")
 

@@ -50,6 +50,8 @@ from .integrate import (
 )
 from .noise import JDParams, OUParams, _ou_exact_coeffs
 
+_MIN_PATHS = 100  # the smallest ensemble a moment estimate is taken over
+
 
 @dataclass(frozen=True)
 class MomentSeries:
@@ -114,8 +116,8 @@ def _moments(grid, n_paths, blocks, norm_sq):
     contiguous rows, the same pairwise sums as summing that step's (N,)
     vector alone; each chunk's sums are added in chunk order.
     """
-    if n_paths < 100:
-        raise InputError("n_paths must be >= 100")
+    if n_paths < _MIN_PATHS:
+        raise InputError(f"n_paths must be >= {_MIN_PATHS}")
     total, total_sq = np.zeros(grid.steps + 1), np.zeros(grid.steps + 1)
     for start, count in _chunks(n_paths):
         for k, views in blocks(start, count):

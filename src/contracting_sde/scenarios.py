@@ -6,16 +6,15 @@ and the ensemble size. ``run_scenario`` executes it and writes a report
 bundle (certificate, empirical series, envelope table, verdict, plot data)
 into one directory; the verdict drives the process exit code.
 
-One builder, ``_build``, reads a config: each field is read, defaulted and
-checked at one place by a ``_Fields`` reader, which fills a missing field's
-default into the data and rejects every key of an object that nothing read.
-``parse_config`` runs it, so a config that parses also runs; ``run_scenario``
-runs it again on the normalized data and hands the runner what it built.
+A config is checked and built once, when its ``ScenarioConfig`` is made:
+one builder, ``_build``, reads each field through a ``_Fields`` reader,
+which fills a missing field's default into the data and rejects every key
+of an object that nothing read. So a config that parses also runs, and
+``run_scenario`` runs what that build made without certifying again.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -33,6 +32,7 @@ from .core import (
     InputSignal,
     SystemSpec,
     TimeGrid,
+    _integer,
     _row_norm_sq,
     affine_system,
     scalar_tracker,
@@ -41,6 +41,7 @@ from .core import (
 from .errors import ConfigError, DivergenceError
 from .integrate import CouplingMode, _check_input_process, default_dt
 from .montecarlo import (
+    _MIN_PATHS,
     CascadeScenario,
     PairScenario,
     Verdict,
@@ -74,10 +75,25 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description (normalized key-value data)."""
+    """A scenario's kind and normalized data, checked and built when made:
+    each missing default is filled into ``data``, and a bad field raises
+    ConfigError. ``run_scenario`` runs that build; another config is a new
+    ``ScenarioConfig``."""
 
     kind: str
     data: dict
+
+    def __post_init__(self):
+        kind = self.data.get("scenario_kind")
+        if kind is None:
+            raise ConfigError("missing required field 'scenario_kind'")
+        if kind not in KINDS:
+            raise ConfigError(
+                f"unknown scenario kind '{kind}'; expected one of {', '.join(KINDS)}"
+            )
+        if kind != self.kind:
+            raise ConfigError(f"'scenario_kind' is '{kind}', not the config's kind '{self.kind}'")
+        object.__setattr__(self, "_run", _build(kind, self.data))  # not a field: out of == and repr
 
     def serialize(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
@@ -85,21 +101,19 @@ class ScenarioConfig:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a JSON scenario config and build it; fill every default."""
+    data = _json_object(text)
+    return ScenarioConfig(data.get("scenario_kind"), data)
+
+
+def _json_object(text: str) -> dict:
+    """The JSON object of a config's text."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    kind = data.get("scenario_kind")
-    if kind is None:
-        raise ConfigError("missing required field 'scenario_kind'")
-    if kind not in KINDS:
-        raise ConfigError(
-            f"unknown scenario kind '{kind}'; expected one of {', '.join(KINDS)}"
-        )
-    _build(kind, data)
-    return ScenarioConfig(kind=kind, data=data)
+    return data
 
 
 class _Fields:
@@ -183,7 +197,7 @@ def _build(kind: str, data: dict) -> _Run:
     top = _Fields(data, kind)
     top.get("scenario_kind")
     top.get("output_dir", None)
-    seed = top.get("master_seed", 0, int)
+    seed = top.get("master_seed", 0, _integer)
     if kind == "gibbs":
         pot = top.obj("potential")
         potential = _gibbs_potential(pot)
@@ -195,7 +209,7 @@ def _build(kind: str, data: dict) -> _Run:
     with g.building():
         dt = g.get("dt", default_dt(c), float)
         TimeGrid(0.0, dt, 0)  # checks dt before the default steps divide by it
-        steps = g.get("steps", int(round((200.0 / c if kind == "gibbs" else 10.0) / dt)), int)
+        steps = g.get("steps", int(round((200.0 / c if kind == "gibbs" else 10.0) / dt)))
         grid = TimeGrid(t0=g.get("t0", 0.0, float), dt=dt, steps=steps)
     g.done()
     if kind == "gibbs":
@@ -207,12 +221,12 @@ def _build(kind: str, data: dict) -> _Run:
             indent=2, sort_keys=True)
         return _Run(kind, grid, certificate, (*potential, sigma), seed=seed)
 
-    top.get("n_workers", 1, int)  # accepted, with no effect: chunks run serially
+    top.get("n_workers", 1, _integer)  # accepted, with no effect: chunks run serially
     if kind == "wasserstein":
         n = sys.state_dim
         u_x, u_y = _signal(top, "input_x", sys), _signal(top, "input_y", sys)
         cloud = top.obj("cloud")
-        k, std = cloud.get("k", conv=int), cloud.get("std", 1.0, float)
+        k, std = cloud.get("k", conv=_integer), cloud.get("std", 1.0, float)
         with cloud.building():  # the scenario checks the clouds it is given
             x0, y0 = (cloud.get(key, [0.0] * n, _vector(n))
                       + std * RngLineage(seed, path).stream().standard_normal((k, n))
@@ -225,7 +239,9 @@ def _build(kind: str, data: dict) -> _Run:
             raise ConfigError(f"'p' must be a number >= 1 or \"inf\", got {p!r}")
         top.done()
         return _Run(kind, grid, sys.certificate.to_json, sc, seed=seed, p=p)
-    n_paths = top.get("n_paths", 10_000, int)
+    n_paths = top.get("n_paths", 10_000, _integer)
+    if n_paths < _MIN_PATHS:
+        raise ConfigError(f"'n_paths' must be >= {_MIN_PATHS}, got {n_paths}")
     alpha = top.get("alpha_policy", "opt")
     if alpha != "opt" and not (_is_number(alpha) and 0.0 < alpha < 1.0):
         raise ConfigError(f"'alpha_policy' must be \"opt\" or lie in (0, 1), got {alpha!r}")
@@ -390,13 +406,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Union[str, os.PathLike],
     run leaves out_dir as it was, and a successful one leaves no file of an
     earlier bundle behind.
     """
-    run = _build(cfg.kind, copy.deepcopy(cfg.data))  # the builder fills defaults in place
     out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as tmp:
         bundle = Path(tmp) / "bundle"
         bundle.mkdir()
-        verdict = _run_scenario_inner(run, bundle, dry_run)
+        verdict = _run_scenario_inner(cfg._run, bundle, dry_run)
         if out_dir.exists():
             out_dir.rename(Path(tmp) / "old")  # removed with the temporary directory
         bundle.rename(out_dir)

@@ -104,6 +104,10 @@ def _to_l2(X: np.ndarray, Y: np.ndarray, norm):
     """(X, Y, norm), a weighted norm turned into l2 by mapping both clouds
     through its Cholesky factor."""
     if isinstance(norm, Metric):
+        for Z in (X, Y):
+            if Z.shape[-1] != norm.dim:
+                raise InputError(f"samples of dimension {Z.shape[-1]} measured in a metric "
+                                 f"of dimension {norm.dim}")
         return X @ norm.chol, Y @ norm.chol, "l2"
     return X, Y, norm
 

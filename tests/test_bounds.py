@@ -505,6 +505,13 @@ class TestOptimizeAlpha:
             optimize_alpha(env, target)
 
 
+    @pytest.mark.parametrize("target", ["limsup", 1.5])
+    def test_envelope_not_finite_on_the_alpha_grid(self, target):
+        env = Envelope(eval=lambda t, a: math.inf, limsup=lambda a: math.nan, kind="track_didc")
+        with pytest.raises(InputError, match="not finite anywhere on the alpha grid"):
+            optimize_alpha(env, target)
+
+
 class TestMonotonicity:
     def test_envelopes_increase_with_noise_parameters(self):
         base = _rich_params()

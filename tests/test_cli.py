@@ -13,6 +13,7 @@ from contracting_sde import (
     ConfigError,
     DivergenceError,
     InputSignal,
+    ScenarioConfig,
     parse_config,
     run_scenario,
 )
@@ -79,6 +80,22 @@ def _feller_violation():
     }
 
 
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """The arguments of each certify_affine call made while the test runs."""
+    import sys
+
+    import contracting_sde.contraction as contraction_mod
+
+    calls, certify = [], contraction_mod.certify_affine
+    for mod in list(sys.modules.values()):  # every module that imported it
+        if (getattr(mod, "__name__", "").startswith("contracting_sde")
+                and getattr(mod, "certify_affine", None) is certify):
+            monkeypatch.setattr(mod, "certify_affine",
+                                lambda *args: calls.append(args) or certify(*args))
+    return calls
+
+
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -110,6 +127,17 @@ class TestParseConfig:
     def test_unknown_scenario_kind(self):
         with pytest.raises(ConfigError, match="unknown scenario kind"):
             parse_config(json.dumps({"scenario_kind": "tracking"}))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"niss_pair"', "null"])
+    def test_config_must_be_an_object(self, text):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            parse_config(text)
+
+    def test_missing_scenario_kind(self):
+        bad = _minimal_niss_pair()
+        del bad["scenario_kind"]
+        with pytest.raises(ConfigError, match="missing required field 'scenario_kind'"):
+            parse_config(json.dumps(bad))
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -213,6 +241,99 @@ class TestParseConfig:
         assert 0 < len(calls) <= 95
 
 
+class TestConfigIsBuiltWhenMade:
+    def test_a_direct_config_is_checked_when_made(self):
+        with pytest.raises(ConfigError, match="missing required field 'scenario_kind'"):
+            ScenarioConfig("niss_pair", {})
+        with pytest.raises(ConfigError, match="unknown scenario kind 'tracking'"):
+            ScenarioConfig("tracking", {"scenario_kind": "tracking"})
+        with pytest.raises(ConfigError, match="'scenario_kind' is 'niss_pair', not the "
+                                              "config's kind 'niss_vs_ode'"):
+            ScenarioConfig("niss_vs_ode", _tiny_run_config())
+        with pytest.raises(ConfigError, match="missing required field 'input_y'"):
+            ScenarioConfig("niss_pair", {k: v for k, v in _tiny_run_config().items()
+                                         if k != "input_y"})
+
+    def test_a_direct_config_fills_its_defaults_and_runs(self, tmp_path):
+        data = _tiny_run_config()
+        cfg = ScenarioConfig("niss_pair", data)
+        assert cfg.data is data and data["alpha_policy"] == "opt"
+        assert cfg == parse_config(json.dumps(_tiny_run_config()))
+        assert "_run" not in repr(cfg)
+        assert run_scenario(cfg, tmp_path / "bundle").holds
+
+    def test_reruns_write_the_same_bytes(self, tmp_path):
+        # runs share one build: nothing a run steps may be written back into it
+        for config in (_tiny_run_config(), _tiny_track_didc(), _tiny_wasserstein(),
+                       _gibbs()):
+            cfg = parse_config(json.dumps(config))
+            data = json.dumps(cfg.data, sort_keys=True)
+            bundles = [tmp_path / cfg.kind / "a", tmp_path / cfg.kind / "b"]
+            for bundle in bundles:
+                run_scenario(cfg, bundle)
+            assert json.dumps(cfg.data, sort_keys=True) == data
+            for path in bundles[0].iterdir():
+                assert (bundles[1] / path.name).read_bytes() == path.read_bytes(), path
+
+    @pytest.mark.parametrize("config, message", [
+        (_tiny_run_config(master_seed="7"), "invalid config field 'master_seed': value must be "
+                                            "an integer, got '7'"),
+        (_minimal_niss_pair(n_paths=100.9), "invalid config field 'n_paths': value must be an "
+                                          "integer, got 100.9"),
+        (_minimal_niss_pair(grid={"dt": 0.01, "steps": 2.5}),
+         "invalid grid: steps must be an integer, got 2.5"),
+        (_tiny_wasserstein(cloud={"k": True}), "invalid cloud field 'k': value must be an "
+                                               "integer, got True"),
+        (_tiny_run_config(n_workers=1.5), "invalid config field 'n_workers': value must be an "
+                                          "integer, got 1.5"),
+        (_minimal_niss_pair(n_paths=50), "'n_paths' must be >= 100, got 50"),
+        (_minimal_niss_pair(grid={"t0": math.nan, "dt": 0.01, "steps": 50}),
+         "invalid grid: t0 must be finite"),
+    ], ids=["master_seed", "n_paths", "grid.steps", "cloud.k", "n_workers", "n_paths_floor",
+            "grid.t0"])
+    def test_integer_fields_and_the_path_floor(self, config, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(config))
+
+    def test_integral_numbers_are_integers(self, tmp_path):
+        cfg = parse_config(json.dumps(_minimal_niss_pair(
+            grid={"dt": 0.01, "steps": 50}, n_paths=1e2, master_seed=3.0)))
+        assert cfg._run.n_paths == 100 and cfg._run.seed == 3
+        assert run_scenario(cfg, tmp_path / "bundle").holds
+
+    def test_unknown_potential_kind(self):
+        with pytest.raises(ConfigError, match="unknown potential kind 'sextic'"):
+            parse_config(json.dumps(_gibbs(potential={"kind": "sextic"})))
+
+
+def test_bundle_bytes_do_not_depend_on_the_draw_layer(tmp_path, monkeypatch):
+    # one chunk of 512 paths x 2000 steps x 2 normals: a fill split over two
+    # threads in two blocks (a), one thread and one buffer (b), and four
+    # blocks that reuse both buffers (c)
+    from contracting_sde import integrate
+
+    data = json.loads((CONFIG_DIR / "niss_pair.json").read_text(encoding="utf-8"))
+    data.update(n_paths=512, grid={**data["grid"], "steps": 2000})
+    split_blocks = []
+    start = integrate._SharedFill.start
+    monkeypatch.setattr(integrate._SharedFill, "start",
+                        lambda self, k0: split_blocks.append(k0) or start(self, k0))
+    runs = {"a": (2, integrate.DRAW_BLOCK_BYTES, [0, 1023]),
+            "b": (1, integrate.DRAW_BLOCK_BYTES, []),
+            "c": (2, 2 * 8 * 512 * 2 * 513, [0, 512, 1024, 1536])}
+    for name, (cpus, budget, blocks) in runs.items():
+        monkeypatch.setattr(integrate, "_cpus", lambda: cpus)
+        monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", budget)
+        split_blocks.clear()
+        assert run_scenario(ScenarioConfig("niss_pair", json.loads(json.dumps(data))),
+                            tmp_path / name).holds
+        assert split_blocks == blocks, name
+    for file in ("moments.csv", "envelope.csv"):
+        ref = (tmp_path / "a" / file).read_bytes()
+        assert (tmp_path / "b" / file).read_bytes() == ref, file
+        assert (tmp_path / "c" / file).read_bytes() == ref, file
+
+
 class TestRunCommand:
     def test_tiny_run_holds_and_writes_bundle(self, tmp_path, capsys):
         config = _write(tmp_path, "tiny.json", _tiny_run_config())
@@ -237,6 +358,26 @@ class TestRunCommand:
         ref = (tmp_path / "a" / "tiny" / "moments.csv").read_bytes()
         assert (tmp_path / "b" / "tiny" / "moments.csv").read_bytes() == ref
         assert (tmp_path / "c" / "tiny" / "moments.csv").read_bytes() == ref
+
+    def test_seed_override_runs_the_config_at_that_seed(self, tmp_path, capsys):
+        config = _write(tmp_path, "tiny.json", _tiny_run_config())
+        seeded = _write(tmp_path, "seeded.json", _tiny_run_config(master_seed=5))
+        for args, out in (([config, "--seed", "5"], "a"), ([seeded], "b"), ([config], "c")):
+            assert main(["run", *args, "--out", str(tmp_path / out)]) == EXIT_HOLDS
+        moments = {out: (tmp_path / out / stem / "moments.csv").read_bytes()
+                   for out, stem in (("a", "tiny"), ("b", "seeded"), ("c", "tiny"))}
+        assert moments["a"] == moments["b"] != moments["c"]
+        capsys.readouterr()
+        main(["run", config, "--seed", "5", "--dry-run", "--out", str(tmp_path / "d")])
+        assert json.loads(capsys.readouterr().out.split("verdict:")[0])["master_seed"] == 5
+
+    def test_execution_error_names_its_type(self, tmp_path, capsys):
+        config = _write(tmp_path, "diverging.json", _gibbs(
+            potential={"kind": "quartic"}, grid={"dt": 0.5, "steps": 200}, master_seed=3))
+        code = main(["run", config, "--out", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert ("error: DivergenceError: non-finite Gibbs chain state at step"
+                in capsys.readouterr().err)
 
     def test_dry_run_echoes_config_and_skips_simulation(self, tmp_path, capsys):
         config = _write(tmp_path, "tiny.json", _tiny_run_config())
@@ -392,12 +533,10 @@ class TestRunScenarioApi:
     @pytest.mark.parametrize("kind, certifications", [
         ("niss_pair", 1), ("niss_vs_ode", 2), ("track_didc", 1), ("wasserstein", 1),
     ])
-    def test_a_run_certifies_each_system_once(self, tmp_path, monkeypatch, kind, certifications):
-        # niss_vs_ode also builds the noiseless twin, which is another system
-        import sys
-
-        import contracting_sde.contraction as contraction_mod
-
+    def test_a_run_certifies_each_system_once(self, tmp_path, certify_calls, kind,
+                                              certifications):
+        # niss_vs_ode also builds the noiseless twin, which is another system;
+        # the parse certifies each system and no run certifies again
         configs = {
             "niss_pair": _tiny_run_config(),
             "niss_vs_ode": _tiny_run_config(scenario_kind="niss_vs_ode"),
@@ -405,19 +544,20 @@ class TestRunScenarioApi:
             "wasserstein": _tiny_wasserstein(),
         }
         cfg = parse_config(json.dumps(configs[kind]))
-        calls = []
-        certify = contraction_mod.certify_affine
-
-        def counted(*args):
-            calls.append(args)
-            return certify(*args)
-
-        for mod in list(sys.modules.values()):  # every module that imported it
-            if (getattr(mod, "__name__", "").startswith("contracting_sde")
-                    and getattr(mod, "certify_affine", None) is certify):
-                monkeypatch.setattr(mod, "certify_affine", counted)
         run_scenario(cfg, tmp_path / "bundle")
-        assert len(calls) == certifications
+        run_scenario(cfg, tmp_path / "again")
+        assert len(certify_calls) == certifications
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--seed", "3", "--paths", "300", "--alpha", "0.4", "--workers", "2"],
+        ["run", "--dry-run"], ["certify"], ["batch"],
+    ], ids=["run_with_overrides", "run_dry_run", "certify", "batch"])
+    def test_each_command_certifies_each_system_once(self, tmp_path, certify_calls, command):
+        (tmp_path / "configs").mkdir()
+        config = _write(tmp_path / "configs", "tiny.json", _tiny_run_config())
+        where = str(tmp_path / "configs") if command[0] == "batch" else config
+        assert main([command[0], where, *command[1:], "--out", str(tmp_path / "out")]) == 0
+        assert len(certify_calls) == 1
 
     def test_two_input_ou_config_without_xi0_runs(self, tmp_path):
         eye = [[1.0, 0.0], [0.0, 1.0]]

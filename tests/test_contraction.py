@@ -133,6 +133,11 @@ class TestOslipSampled:
         ]
         assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
 
+    def test_at_least_one_pair(self):
+        with pytest.raises(InputError, match="n_pairs must be >= 1"):
+            oslip_sampled(lambda x, u: -x, None, box_sampler([-1.0], [1.0]),
+                          identity_metric(1), n_pairs=0)
+
     def test_degenerate_pairs_raise(self):
         sampler = lambda rng, n: np.zeros((n, 1))
         with pytest.raises(EstimationError):
@@ -176,6 +181,39 @@ class TestInputLipschitz:
         with pytest.raises(InputError):
             input_lipschitz(np.array([[1.0]]), identity_metric(1), norm_u="linf")
 
+    def test_exact_l1_route_is_the_largest_column_norm(self):
+        # ||B v||_P <= sum_j |v_j| ||b_j||_P, with equality at the unit vector of the largest
+        B = np.array([[1.0, 2.0, -0.5], [3.0, 4.0, 0.5]])
+        m = validate_metric(np.array([[4.0, 1.0], [1.0, 1.0]]))
+        columns = [math.sqrt(m.norm_sq(b)) for b in B.T]
+        assert input_lipschitz(B, m, norm_u="l1") == pytest.approx(max(columns), rel=1e-13)
+
+    @pytest.mark.parametrize("u_box, x_sampler", [
+        (None, box_sampler([-1.0], [1.0])), (([-1.0], [1.0]), None), (None, None)])
+    def test_sampled_route_needs_a_box_and_a_sampler(self, u_box, x_sampler):
+        with pytest.raises(InputError, match="sampled estimator needs u_box and x_sampler"):
+            input_lipschitz(lambda x, u: u, identity_metric(1), u_box=u_box,
+                            x_sampler=x_sampler, n_pairs=10)
+
+    def test_degenerate_input_pairs_raise(self):
+        with pytest.raises(EstimationError, match="all sampled input pairs degenerate"):
+            input_lipschitz(lambda x, u: u, identity_metric(1), u_box=([0.5], [0.5]),
+                            x_sampler=box_sampler([-1.0], [1.0]), n_pairs=10)
+
+    @pytest.mark.parametrize("norm_u, exact", [("l1", 1.0), ("linf", 2.0)])
+    def test_sampled_input_norms_approach_the_induced_norms(self, norm_u, exact):
+        # F(x, u) = u1 + u2: the l1 -> l2 induced norm is 1, linf -> l2 is 2
+        F = lambda x, u: u.sum(axis=1, keepdims=True)
+        got = input_lipschitz(F, identity_metric(1), norm_u=norm_u, u_box=([-1, -1], [1, 1]),
+                              x_sampler=box_sampler([-1.0], [1.0]), n_pairs=20_000, seed=3)
+        assert exact - 0.02 <= got <= exact * (1.0 + 1e-12)
+
+    def test_unknown_sampled_input_norm(self):
+        with pytest.raises(InputError, match="unknown input norm 'l3'"):
+            input_lipschitz(lambda x, u: u, identity_metric(1), norm_u="l3",
+                            u_box=([-1.0], [1.0]), x_sampler=box_sampler([-1.0], [1.0]),
+                            n_pairs=10)
+
 
 class TestDispersionBound:
     def test_scaled_identity(self):
@@ -197,6 +235,18 @@ class TestDispersionBound:
         assert 1.98 <= best <= 2.0 + 1e-12
 
 
+    def test_sampled_route_needs_a_state_sampler(self):
+        with pytest.raises(InputError, match="sampled estimator needs x_sampler"):
+            dispersion_bound(lambda x, u: np.eye(1), identity_metric(1))
+
+    def test_sampled_route_over_an_input_box(self):
+        # Sigma(x, u) = [[u]] on u in [0, 2]: trace(Sigma^T Sigma) = u^2, sup 4
+        best = dispersion_bound(lambda x, u: np.array([[u[0]]]), identity_metric(1),
+                                x_sampler=box_sampler([0.0], [1.0]), u_box=([0.0], [2.0]),
+                                n_samples=2000, seed=1)
+        assert 3.95 <= best <= 4.0
+
+
 class TestCascadeMetric:
     def test_unit_parameters_identity(self):
         m = cascade_metric(identity_metric(1), c=1.0, ell=1.0, m=1)
@@ -214,6 +264,11 @@ class TestCascadeMetric:
     def test_zero_ell_rejected(self):
         with pytest.raises(InputError):
             cascade_metric(identity_metric(1), c=1.0, ell=0.0, m=1)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_nonpositive_rate_rejected(self, c):
+        with pytest.raises(InputError, match="c must be positive"):
+            cascade_metric(identity_metric(1), c=c, ell=1.0, m=1)
 
     def test_unnormalized_metric_rejected(self):
         with pytest.raises(InputError):

@@ -8,11 +8,13 @@ import pytest
 
 from contracting_sde import (
     CapabilityError,
+    Certificate,
     CertificationError,
     EquilibriumMap,
     InputError,
     InputSignal,
     Metric,
+    SystemSpec,
     TimeGrid,
     affine_system,
     identity_metric,
@@ -48,6 +50,10 @@ class TestWeightedNormSq:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             weighted_norm_sq(np.array([1.0, 2.0, 3.0]), identity_metric(2))
+
+    def test_batch_dimension_mismatch(self):
+        with pytest.raises(InputError, match="state dimension 3 != metric dimension 2"):
+            identity_metric(2).batch_norm_sq(np.ones((4, 3)))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -134,6 +140,22 @@ class TestTimeGrid:
         with pytest.raises(InputError):
             TimeGrid(0.0, 0.1, -1)
 
+    @pytest.mark.parametrize("steps", [2.5, True, np.bool_(True), "4", None])
+    def test_steps_must_be_an_integer(self, steps):
+        # 2.5 steps would give 4 times and a horizon of 0.25
+        with pytest.raises(InputError, match="steps must be an integer"):
+            TimeGrid(0.0, 0.1, steps)
+
+    def test_integral_steps_are_stored_as_an_int(self):
+        for steps in (4.0, np.int64(4), 4):
+            g = TimeGrid(0.0, 0.1, steps)
+            assert type(g.steps) is int and g.steps == 4 and g.times().shape == (5,)
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_t0_must_be_finite(self, t0):
+        with pytest.raises(InputError, match="t0 must be finite"):
+            TimeGrid(t0, 0.1, 10)
+
 
 class TestInputSignal:
     def test_constant(self):
@@ -163,6 +185,14 @@ class TestInputSignal:
             InputSignal.piecewise_linear([0.0, 0.0], [[1.0], [2.0]])
         with pytest.raises(InputError):
             InputSignal.piecewise_linear([0.0], [[1.0]])
+
+    def test_piecewise_linear_needs_one_value_row_per_knot(self):
+        with pytest.raises(InputError, match="one value row per knot"):
+            InputSignal.piecewise_linear([0.0, 1.0, 2.0], [[1.0], [2.0]])
+
+    def test_times_must_be_a_scalar_or_a_1d_array(self):
+        with pytest.raises(InputError, match=r"1-D array, got shape \(2, 2\)"):
+            InputSignal.constant([1.0]).value(np.zeros((2, 2)))
 
     def test_callable_without_derivative(self):
         u = InputSignal.from_callable(lambda t: t, dim=1)
@@ -209,6 +239,37 @@ class TestSystemSpec:
         out = sys.drift(X, np.array([0.5]))
         assert out.shape == (3, 1)
         assert np.allclose(out[:, 0], -(X[:, 0] - 0.5))
+
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("c_hat", 0.0, "c_hat must be a positive contraction rate"),
+        ("sigma_x_sq_hat", -1e-3, "sigma_x_sq_hat must be nonnegative"),
+        ("ell_hat", -1e-3, "ell_hat must be nonnegative"),
+    ])
+    def test_certificate_checks(self, field, value, message):
+        sys = scalar_tracker(1.0, 0.1)
+        cert = Certificate(**{"c_hat": 1.0, "ell_hat": 1.0, "sigma_x_sq_hat": 0.01,
+                              "method": "sampled", field: value})
+        with pytest.raises(InputError, match=message):
+            SystemSpec(state_dim=1, input_dim=1, drift=sys.drift, dispersion=sys.dispersion,
+                       metric=sys.metric, certificate=cert)
+
+    @pytest.mark.parametrize("B, Sigma, dim, message", [
+        ([1.0], [[0.3]], 1, "B must have one row per state"),
+        ([[1.0], [1.0]], [[0.3]], 1, "B must have one row per state"),
+        ([[1.0]], [0.3], 1, "Sigma must have one row per state"),
+        ([[1.0]], [[0.3], [0.1]], 1, "Sigma must have one row per state"),
+        ([[1.0]], [[0.3]], 2, "metric dimension does not match A"),
+    ])
+    def test_affine_shape_checks(self, B, Sigma, dim, message):
+        with pytest.raises(InputError, match=message):
+            affine_system([[-1.0]], B, Sigma, identity_metric(dim))
+
+    def test_affine_dispersion_closure_is_the_constant_sigma(self):
+        Sigma = np.array([[0.3, 0.0], [0.1, 0.2]])
+        sys = affine_system(-np.eye(2), np.eye(2), Sigma, identity_metric(2))
+        assert np.array_equal(sys.dispersion(np.ones((5, 2)), np.zeros((5, 2))), Sigma)
+        assert np.array_equal(sys.dispersion_matrix, Sigma)
 
 
 class TestEquilibriumMap:

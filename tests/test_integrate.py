@@ -239,6 +239,13 @@ class TestIntegrateCascade:
                               TimeGrid(0.0, 1e-3, 10), RngLineage(0))
 
 
+    def test_noise_dimension_must_be_the_input_dimension(self):
+        with pytest.raises(InputError, match="noise dimension does not match system input"):
+            integrate_cascade(OUParams(c=1.0, sigma=0.1, dim=2), InputSignal.constant([0.0]),
+                              scalar_tracker(1.0, 0.2), [0.0], [0.0, 0.0],
+                              TimeGrid(0.0, 1e-2, 10), RngLineage(0))
+
+
 class TestOdeRk4:
     def test_linear_decay(self):
         grid = TimeGrid(0.0, 0.01, 100)
@@ -1020,3 +1027,67 @@ class TestThreadedDraws:
                 time.sleep(0.02)  # the helper claims rows of the next block alone
         assert blocks == failing_block
         assert threading.active_count() == baseline
+
+
+def test_cpus_without_affinity_counts_the_cpus(monkeypatch):
+    from contracting_sde import integrate
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert integrate._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert integrate._cpus() == 1
+
+
+class TestClosureDispersion:
+    """A closure system's noise term: its constant ``dispersion_matrix``
+    when it has one, else its dispersion closure, which may return one
+    (n, r) matrix or an (N, n, r) block, one matrix per path."""
+
+    SEED, COUNT, GRID = 7, 5, TimeGrid(0.0, 1e-2, 300)
+
+    @staticmethod
+    def _drift(x, u):
+        return -x - x * x * x + u
+
+    @staticmethod
+    def _state_dependent(x, u):
+        # arithmetic only: bit for bit the same on a block as on one row
+        return (0.3 + 0.1 * x * x / (1.0 + x * x))[:, :, None]
+
+    def _system(self, dispersion, dispersion_matrix=None):
+        return SystemSpec(state_dim=1, input_dim=1, drift=self._drift, dispersion=dispersion,
+                          metric=identity_metric(1),
+                          certificate=Certificate(1.0, 1.0, 0.16, "sampled"),
+                          dispersion_matrix=dispersion_matrix)
+
+    def _per_path(self, dispersion, x0, rows):
+        """Each path stepped alone as x + F dt + S dB, on path i's normals."""
+        grid, sq = self.GRID, math.sqrt(self.GRID.dt)
+        out = np.empty((grid.steps + 1, self.COUNT))
+        for i in range(self.COUNT):
+            z = RngLineage(self.SEED, i).stream().standard_normal((grid.steps, 1))
+            x = np.array([[x0]])
+            out[0, i] = x0
+            for k in range(grid.steps):
+                S = np.asarray(dispersion(x, rows[k]))
+                x = (self._drift(x, rows[k]) * grid.dt + x) + S.reshape(1, 1) * (z[k] * sq)
+                out[k + 1, i] = x[0, 0]
+        return out
+
+    @pytest.mark.parametrize("case", ["dispersion_matrix", "state_dependent"])
+    def test_block_equals_a_per_path_loop(self, case):
+        from contracting_sde.integrate import _block, _blocks, _collect
+
+        if case == "dispersion_matrix":
+            Sigma = np.array([[0.3]])
+            dispersion = lambda x, u: Sigma
+            sys = self._system(dispersion, Sigma)
+        else:
+            dispersion = self._state_dependent
+            sys = self._system(dispersion)
+        assert sys.affine is None
+        rows = InputSignal.sinusoid([0.5]).values(self.GRID.times())
+        (xs,) = _collect(_blocks([sys], [_block([0.8], 1, self.COUNT)], [rows], self.GRID,
+                                 self.SEED, 0), self.GRID.steps)
+        assert np.array_equal(xs[:, :, 0], self._per_path(dispersion, 0.8, rows))

@@ -237,3 +237,11 @@ class TestParamValidation:
             JDParams(c=0.0, theta=_const_theta(0.5), sigma_u=0.1, a=[1.0])
         with pytest.raises(InputError):
             JDParams(c=1.0, theta=_const_theta(0.5), sigma_u=0.1, a=[-1.0])
+
+    def test_ou_dim_at_least_one(self):
+        with pytest.raises(InputError, match="OU dim must be >= 1"):
+            OUParams(c=1.0, sigma=1.0, dim=0)
+
+    def test_jd_sigma_u_nonnegative(self):
+        with pytest.raises(InputError, match="JD sigma_u must be nonnegative"):
+            JDParams(c=1.0, theta=_const_theta(0.5), sigma_u=-0.1, a=[1.0])

@@ -438,6 +438,19 @@ class TestPairwiseNorms:
         assert np.array_equal(_pairwise_norms(X, Y, "linf"), np.abs(diff).max(axis=2))
 
 
+    def test_unknown_norm(self):
+        X = np.zeros((3, 2))
+        with pytest.raises(InputError, match="unknown norm 'l3'"):
+            _pairwise_norms(X, X + 1.0, "l3")
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_metric_of_another_dimension_names_both(self, p):
+        mx, my = EmpiricalMeasure(np.zeros((4, 2))), EmpiricalMeasure(np.ones((4, 2)))
+        with pytest.raises(InputError, match="samples of dimension 2 measured in a metric "
+                                             "of dimension 3"):
+            wasserstein_assignment(mx, my, p, norm=identity_metric(3))
+
+
 def _w2_lsa(X, Y):
     """Reference W_2: scipy's assignment on the uncentred squared distances."""
     D = _einsum_l2(X, Y)
@@ -780,6 +793,27 @@ class TestWassersteinSeries:
             )
 
 
+    def test_series_in_a_metric_of_another_dimension_names_both(self):
+        sys = _scalar_ou_system()
+        sc = WassersteinScenario(
+            sys_x=sys, sys_y=sys, x0_samples=np.zeros((8, 1)), y0_samples=np.ones((8, 1)),
+            u_x=InputSignal.constant([0.0]), u_y=InputSignal.constant([0.0]),
+            grid=TimeGrid(0.0, 1e-2, 10))
+        with pytest.raises(InputError, match="samples of dimension 1 measured in a metric "
+                                             "of dimension 2"):
+            wasserstein_series(sc, 2, master_seed=0, norm=identity_metric(2))
+
+    def test_clouds_above_the_cap_are_rejected(self):
+        sys = _scalar_ou_system()
+        k = wasserstein.MAX_SAMPLES + 1
+        with pytest.raises(CapacityError, match=f"{k} samples exceed the cap of "
+                                                f"{wasserstein.MAX_SAMPLES}"):
+            WassersteinScenario(
+                sys_x=sys, sys_y=sys, x0_samples=np.zeros((k, 1)), y0_samples=np.ones((k, 1)),
+                u_x=InputSignal.constant([0.0]), u_y=InputSignal.constant([0.0]),
+                grid=TimeGrid(0.0, 1e-2, 10))
+
+
 class TestGibbs:
     def test_quadratic_density_is_gaussian(self):
         # f = c x^2 / 2 gives the N(0, sigma^2 / (2c)) density
@@ -824,3 +858,8 @@ class TestGibbs:
             gibbs_check(lambda x: 0.5 * x**2, lambda x: x, 1.0, [0.0], xs)
         with pytest.raises(InputError):
             gibbs_check(lambda x: 0.5 * x**2, lambda x: x, 0.0, [0.0, 1.0], xs)
+
+    @pytest.mark.parametrize("xs", [np.linspace(-1.0, 1.0, 2), np.zeros((3, 3))])
+    def test_density_grid_of_three_points_or_more(self, xs):
+        with pytest.raises(InputError, match="grid must be one-dimensional with >= 3 points"):
+            gibbs_density(lambda x: 0.5 * x**2, 1.0, xs)
