@@ -89,7 +89,6 @@ from .wasserstein import (
     gibbs_check,
     gibbs_density,
     stationarity_residual,
-    verify_wasserstein_contraction,
     wasserstein_1d,
     wasserstein_assignment,
     wasserstein_envelope,

@@ -80,9 +80,6 @@ class BoundParams:
     def theta_dot_sq_tail(self) -> float:
         return self._tail("theta_dot_sq")
 
-    def input_gap_sq_tail(self) -> float:
-        return self._tail("input_gap_sq")
-
     def _tail(self, datum: str) -> float:
         limsup = getattr(self, datum + "_limsup")
         if limsup is not None:

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .scenarios import ScenarioConfig, _json_object, resolve_output_dir, run_scenario
+from .scenarios import ScenarioConfig, _from_text, resolve_output_dir, run_scenario
 
 EXIT_HOLDS = 0
 EXIT_ERROR = 1
@@ -32,9 +32,7 @@ def _load(path: str, **overrides) -> ScenarioConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
-    data = _json_object(text)
-    data.update((key, value) for key, value in overrides.items() if value is not None)
-    return ScenarioConfig(data.get("scenario_kind"), data)
+    return _from_text(text, overrides)
 
 
 def _cmd_run(args) -> int:

@@ -107,6 +107,17 @@ def _integer(v, name: str = "value") -> int:
     return int(v)
 
 
+def _real(v, array: bool = False):
+    """``v`` as a float, or with ``array`` as a float array of nested lists of
+    numbers; a bool, a string or any other value in it raises InputError."""
+    a = np.asarray(v, dtype=object)
+    if (a.ndim and not array) or not all(
+            isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+            for x in a.flat):
+        raise InputError(f"value must be {'numbers' if array else 'a number'}, got {v!r}")
+    return a.astype(float) if array else float(v)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid t_k = t0 + k * dt, k = 0..steps."""

@@ -14,8 +14,8 @@ a system given as data, ``SystemSpec.affine = (A, B)`` with its
 ``dispersion_matrix`` Sigma, the noise terms (Z sqrt(dt)) Sigma^T of a
 sub-block are one matrix product per system; the input terms u_k B^T are
 computed once per chunk for inputs shared by all paths, or per sub-block
-for OU and Jacobi input noise, whose recursions do not depend on the
-state and are stepped first; and the states are stepped in place, five
+for OU and Jacobi input noise, stepped first (Jacobi by ``_jd_step``
+toward the cascade's one theta); and the states are stepped in place, five
 calls per step for the whole pair: one product by the stacked A^T (a
 scalar per system when each A is d I), then + u B^T, * dt, + x and
 + Sigma dB. Other systems call their drift and dispersion closures per
@@ -56,9 +56,7 @@ import numpy as np
 
 from .core import InputSignal, SystemSpec, TimeGrid
 from .errors import ConfigError, DivergenceError, InputError
-from .noise import (
-    JDParams, OUParams, RngLineage, _jd_bounds, _jd_proposal, _ou_exact_coeffs, feller_check,
-)
+from .noise import JDParams, OUParams, RngLineage, _jd_step, _ou_exact_coeffs, feller_check
 
 
 class CouplingMode(enum.Enum):
@@ -74,9 +72,6 @@ class Trajectory:
     states: np.ndarray  # (steps+1, n)
     input_record: np.ndarray  # (steps+1, m)
     lineage: Optional[RngLineage] = None
-
-    def times(self) -> np.ndarray:
-        return self.grid.times()
 
 
 CHUNK_SIZE = 512  # paths per chunk: bounds a chunk's draw memory and fixes the merge order
@@ -289,26 +284,29 @@ def _check_pair(sys_x: SystemSpec, sys_y: SystemSpec, mode, grid: TimeGrid):
     _warn_step_size(sys_x, grid, stacklevel=4)
 
 
-def _check_cascade(noise, sys: SystemSpec, xi0, grid: TimeGrid, unsafe: bool):
+def _check_cascade(noise, theta, sys: SystemSpec, xi0, grid: TimeGrid):
     _warn_step_size(sys, grid, stacklevel=4)
-    _check_input_process(noise, sys, xi0, grid, unsafe)
+    _check_input_process(noise, theta, sys, xi0, grid)
 
 
-def _check_input_process(noise, sys: SystemSpec, xi0, grid: TimeGrid, unsafe: bool):
-    """Raise unless the input noise has the system's input dimension and a
-    Jacobi input starts inside (0, a) and meets the Feller condition at
-    every grid time, or is run unsafe."""
+def _check_input_process(noise, theta, sys: SystemSpec, xi0, grid: TimeGrid):
+    """Raise unless the noise has the system's input dimension and a Jacobi
+    input reverts to ``theta`` (``noise.theta``, or equal to it on the grid),
+    starts in (0, a) and meets the Feller condition on the grid or is unsafe."""
     if noise.dim != sys.input_dim:
         raise InputError("noise dimension does not match system input dimension")
     if isinstance(noise, JDParams):
+        ts = grid.times()
+        if theta is not noise.theta and not np.array_equal(theta.values(ts), noise.theta.values(ts)):
+            raise InputError("a JD cascade's theta differs on the grid from its noise's theta")
         u0 = _block(xi0, noise.dim)[0]
         if np.any(u0 <= 0.0) or np.any(u0 >= noise.a):
             raise ConfigError("JD initial input must lie inside (0, a)")
-        margin = feller_check(noise, grid.times())["margin"]
-        if margin < 0.0 and not (noise.unsafe or unsafe):
+        margin = feller_check(noise, ts)["margin"]
+        if margin < 0.0 and not noise.unsafe:
             raise ConfigError(
-                "JD parameters violate the boundary-nonattainment (Feller) "
-                f"condition on the grid (margin {margin:.3g}); pass unsafe=True to override"
+                "JD parameters violate the boundary-nonattainment (Feller) condition on "
+                f"the grid (margin {margin:.3g}); set JDParams(unsafe=True) to override"
             )
 
 
@@ -441,18 +439,17 @@ def _input_process(U, grid, noise, theta_path, u0, coeffs=None):
     fills U[1..n] from U[0], the inputs at step k, on the (n, N, m) input
     normals z: theta_k + xi_k with xi' = decay xi + std z from xi_0 = u0,
     where (decay, std) = ``coeffs`` or by default the exact OU
-    transition's; or the Jacobi diffusion (u0 is then u_0) about its own
-    ``noise.theta``."""
+    transition's; or the Jacobi diffusion (u0 is then u_0) stepped by
+    ``_jd_step`` toward the rows theta_k of ``theta_path``."""
     dt = grid.dt
     Uv = list(U)
     if isinstance(noise, JDParams):
         U[0] = u0
-        theta = noise.theta.values(grid.times())
-        lo, hi = _jd_bounds(noise)
+        proposal = np.empty_like(U[0])
 
         def advance(z, k):
             for j in range(len(z)):
-                np.clip(_jd_proposal(Uv[j], noise, theta[k + j], dt, z[j]), lo, hi, out=Uv[j + 1])
+                _jd_step(Uv[j], noise, theta_path[k + j], dt, z[j], proposal, Uv[j + 1])
         return advance
 
     decay, std = coeffs or _ou_exact_coeffs(noise, dt)
@@ -635,18 +632,17 @@ def integrate_cascade(
     xi0,
     grid: TimeGrid,
     lineage: RngLineage,
-    unsafe: bool = False,
 ):
     """Simulate the input-noise cascade u_t -> x_t.
 
     OU branch: u_t = theta(t) + xi_t with xi stepped by the exact Gaussian
     transition. JD branch: u_t stepped by the boundary-safe Euler scheme
-    (xi0 is then the initial u_0, required inside (0, a)). The state is
-    stepped by Euler-Maruyama against the realized u.
+    toward theta(t), ``noise.theta`` or equal to it on the grid (xi0 is then
+    u_0, inside (0, a)). The state is stepped by Euler-Maruyama against u.
 
     Returns (input trajectory, state trajectory).
     """
-    _check_cascade(noise, sys, xi0, grid, unsafe)
+    _check_cascade(noise, theta, sys, xi0, grid)
     theta_rec = theta.values(grid.times())
     xs, us = _collect(_cascade_blocks(
         noise, theta_rec, sys, _block(x0, sys.state_dim), _block(xi0, noise.dim)[0],

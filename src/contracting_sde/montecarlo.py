@@ -8,13 +8,14 @@ run, with step-major buffers of min(``_STEP_BLOCK``, steps) + 1 rows,
 where a system given as data (``SystemSpec.affine`` with its dispersion
 matrix) has its noise and input terms computed once per sub-block and the
 states of both systems of a pair are stepped in place together, five
-calls per step for the whole pair. OU
-moments run the kernel's OU input process with no system, with the exact
-or the Euler coefficients. All three estimators reduce through one
-reducer: the squared norms of a sub-block's (S, N, n) errors at once,
-then row sums over contiguous rows, which are the same pairwise sums as
-summing each step alone. Each path's Gaussian
-draws come from its own counter-based stream in the same order. In one
+calls per step for the whole pair. A Jacobi input takes the kernel's one
+Jacobi step toward the cascade's one theta, and only its ``JDParams``
+sets ``unsafe``. OU moments run the kernel's OU input process with no
+system, with the exact or the Euler coefficients. All three estimators
+reduce through one reducer: the squared norms of a sub-block's (S, N, n)
+errors at once, then row sums over contiguous rows, which are the same
+pairwise sums as summing each step alone. Each path's Gaussian draws
+come from its own counter-based stream in the same order. In one
 dimension an ensemble path is therefore bit-identical to the single-path
 run of the same lineage and to stepping the drift and dispersion closures
 of the same system one step at a time; for n >= 2 these agree to within
@@ -95,7 +96,8 @@ class CascadeScenario:
     """Input-noise process (OU or JD) feeding a contracting system.
 
     For OU noise ``xi0`` is the initial input-noise state; for JD it is the
-    initial input u_0 in (0, a).
+    initial input u_0 in (0, a), and ``theta`` is ``noise.theta`` or equal
+    to it on the grid; ``noise.unsafe`` is the one unsafe switch.
     """
 
     noise: Union[OUParams, JDParams]
@@ -104,7 +106,6 @@ class CascadeScenario:
     x0: np.ndarray
     xi0: np.ndarray
     grid: TimeGrid
-    unsafe: bool = False
 
 
 def _moments(grid, n_paths, blocks, norm_sq):
@@ -185,7 +186,7 @@ def tracking_error_moment(
         raise InputError(f"unknown target '{target}'")
     sc = scenario
     grid, sys, noise = sc.grid, sc.sys, sc.noise
-    _check_cascade(noise, sys, sc.xi0, grid, sc.unsafe)
+    _check_cascade(noise, sc.theta, sys, sc.xi0, grid)
     n = sys.state_dim
     theta_path = sc.theta.values(grid.times())
     xstar_det = _x_star_batch(eq_map, theta_path, n)  # (steps+1, n)

@@ -2,7 +2,9 @@
 
 The exact Gaussian transition of the mean-reverting Ornstein-Uhlenbeck
 process, and a boundary-safe full-truncation Euler step for the Jacobi
-diffusion on (0, a).
+diffusion on (0, a): one in-place ``_jd_step``, which the integrators'
+kernel, ``jd_step`` and ``jd_step_with_flag`` call. ``JDParams`` holds the
+input's one theta and its one ``unsafe`` switch.
 
 Randomness comes from counter-based Philox streams keyed by
 (master_seed, path_index), so ensembles are reproducible bit-for-bit and
@@ -13,14 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import InputSignal
+from .core import InputSignal, _integer
 from .errors import InputError, StateCorruptionError
-
-_CLAMP_REL = 1e-12  # micro-clamp width relative to a_i
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,11 @@ class OUParams:
     dim: int = 1
 
     def __post_init__(self):
-        if self.c < 0:
-            raise InputError("OU rate c must be nonnegative")
-        if self.sigma < 0:
-            raise InputError("OU sigma must be nonnegative")
+        if not 0 <= self.c < math.inf:  # NaN fails too
+            raise InputError("OU rate c must be nonnegative and finite")
+        if not 0 <= self.sigma < math.inf:
+            raise InputError("OU sigma must be nonnegative and finite")
+        object.__setattr__(self, "dim", _integer(self.dim, "OU dim"))
         if self.dim < 1:
             raise InputError("OU dim must be >= 1")
 
@@ -64,7 +64,7 @@ class JDParams:
 
     A run checks the boundary-nonattainment condition (``feller_check``) at
     every time of its grid and refuses to start where it fails, unless
-    ``unsafe=True`` was passed explicitly.
+    ``unsafe=True`` is set here, the one place it can be set.
     """
 
     c: float
@@ -74,14 +74,18 @@ class JDParams:
     unsafe: bool = False
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise InputError("JD rate c must be positive")
-        if self.sigma_u < 0:
-            raise InputError("JD sigma_u must be nonnegative")
+        if not 0 < self.c < math.inf:  # NaN fails too
+            raise InputError("JD rate c must be positive and finite")
+        if not 0 <= self.sigma_u < math.inf:
+            raise InputError("JD sigma_u must be nonnegative and finite")
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        if np.any(a <= 0):
-            raise InputError("JD upper bounds a must be positive")
+        if a.ndim != 1 or not np.all((a > 0) & (a < np.inf)):
+            raise InputError("JD upper bounds a must be positive and finite, in a vector")
+        if self.theta.dim != a.shape[0]:
+            raise InputError(f"JD theta has {self.theta.dim} components, a has {a.shape[0]}")
         object.__setattr__(self, "a", a)
+        # the micro-clamp interval [eps_b, a - eps_b], eps_b = 1e-12 a, lies inside (0, a)
+        object.__setattr__(self, "_bounds", (1e-12 * a, a - 1e-12 * a))
 
     @property
     def dim(self) -> int:
@@ -113,9 +117,7 @@ def ou_exact_step(xi: np.ndarray, p: OUParams, dt: float, z: np.ndarray) -> np.n
     Brownian scaling sigma * sqrt(dt / m) * z.
     """
     decay, std = _ou_exact_coeffs(p, dt)
-    xi = np.asarray(xi, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return decay * xi + std * z
+    return decay * np.asarray(xi, dtype=float) + std * np.asarray(z, dtype=float)
 
 
 def _ou_exact_coeffs(p: OUParams, dt: float) -> tuple:
@@ -146,32 +148,30 @@ def jd_step_with_flag(u, p: JDParams, t: float, dt: float, z):
     accepts batched input of shape (N, m).
     """
     u = np.asarray(u, dtype=float)
-    z = np.asarray(z, dtype=float)
     if np.any(u < 0.0) or np.any(u > p.a):
         raise StateCorruptionError("JD state outside [0, a] on entry")
-    proposal = _jd_proposal(u, p, p.theta.value(t), dt, z)
-    clipped = np.clip(proposal, *_jd_bounds(p))
-    return clipped, int(np.count_nonzero(clipped != proposal))
+    proposal, out = np.empty((2,) + np.broadcast(u, z, p.a).shape)
+    _jd_step(u, p, p.theta.value(t), dt, z, proposal, out)
+    return out, int(np.count_nonzero(out != proposal))
 
 
-def _jd_proposal(u, p: JDParams, th, dt: float, z):
-    """The Euler proposal of jd_step_with_flag before the micro-clamp, with
-    theta(t) given as the row ``th`` and no entry check."""
-    var_term = np.clip(u * (p.a - u), 0.0, None)
-    return (
-        u
-        - p.c * (u - th) * dt
-        + p.sigma_u * np.sqrt(var_term) * z * math.sqrt(dt)
-    )
-
-
-def _jd_bounds(p: JDParams):
-    """The micro-clamp interval [eps_b, a - eps_b]; a clamped state lies inside (0, a)."""
-    eps = _CLAMP_REL * p.a
-    return eps, p.a - eps
+def _jd_step(u, p: JDParams, th, dt: float, z, proposal, out):
+    """jd_step_with_flag's step in place, theta(t) given as the row ``th``, no
+    entry check: the Euler proposal (u - (c (u - th)) dt) + ((sigma_u
+    sqrt(max(u (a - u), 0))) z) sqrt(dt) into ``proposal``, then its
+    micro-clamp into ``out``; neither may share memory with u, th or z."""
+    np.multiply(np.subtract(p.a, u, out=out), u, out=out)  # out holds the noise term
+    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+    out *= p.sigma_u
+    out *= z
+    out *= math.sqrt(dt)
+    np.multiply(np.subtract(u, th, out=proposal), p.c, out=proposal)
+    proposal *= dt
+    np.subtract(u, proposal, out=proposal)
+    proposal += out
+    np.minimum(np.maximum(proposal, p._bounds[0], out=out), p._bounds[1], out=out)
 
 
 def jd_step(u, p: JDParams, t: float, dt: float, z):
     """Jacobi-diffusion step; see jd_step_with_flag. Output lies inside (0, a)."""
     return jd_step_with_flag(u, p, t, dt, z)[0]
-

@@ -21,6 +21,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -33,6 +34,7 @@ from .core import (
     SystemSpec,
     TimeGrid,
     _integer,
+    _real,
     _row_norm_sq,
     affine_system,
     scalar_tracker,
@@ -84,6 +86,8 @@ class ScenarioConfig:
     data: dict
 
     def __post_init__(self):
+        if not isinstance(self.data, dict):
+            raise ConfigError("config must be a JSON object")
         kind = self.data.get("scenario_kind")
         if kind is None:
             raise ConfigError("missing required field 'scenario_kind'")
@@ -101,19 +105,20 @@ class ScenarioConfig:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a JSON scenario config and build it; fill every default."""
-    data = _json_object(text)
-    return ScenarioConfig(data.get("scenario_kind"), data)
+    return _from_text(text, {})
 
 
-def _json_object(text: str) -> dict:
-    """The JSON object of a config's text."""
+def _from_text(text: str, overrides: dict) -> ScenarioConfig:
+    """The config of a JSON text with each override that is not None set as its key."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    return data
+    kind = None
+    if isinstance(data, dict):  # ScenarioConfig refuses any other value
+        data.update((key, value) for key, value in overrides.items() if value is not None)
+        kind = data.get("scenario_kind")
+    return ScenarioConfig(kind, data)
 
 
 class _Fields:
@@ -164,9 +169,12 @@ class _Fields:
                     if self.name else f"unknown key '{key}' for scenario kind '{self.kind}'")
 
 
+_array = partial(_real, array=True)  # the conversion of a field to a float array
+
+
 def _vector(n: int):
     """The conversion of a field to an (n,) float vector."""
-    return lambda v: np.asarray(v, dtype=float).reshape(n)
+    return lambda v: _array(v).reshape(n)
 
 
 def _is_number(v) -> bool:
@@ -207,13 +215,13 @@ def _build(kind: str, data: dict) -> _Run:
         c = sys.certificate.c_hat
     g = top.obj("grid", {})
     with g.building():
-        dt = g.get("dt", default_dt(c), float)
+        dt = g.get("dt", default_dt(c), _real)
         TimeGrid(0.0, dt, 0)  # checks dt before the default steps divide by it
         steps = g.get("steps", int(round((200.0 / c if kind == "gibbs" else 10.0) / dt)))
-        grid = TimeGrid(t0=g.get("t0", 0.0, float), dt=dt, steps=steps)
+        grid = TimeGrid(t0=g.get("t0", 0.0, _real), dt=dt, steps=steps)
     g.done()
     if kind == "gibbs":
-        sigma = top.get("sigma", conv=float)
+        sigma = top.get("sigma", conv=_real)
         top.done()
         certificate = lambda: json.dumps(
             {"potential": pot.data, "sigma": sigma,
@@ -226,7 +234,7 @@ def _build(kind: str, data: dict) -> _Run:
         n = sys.state_dim
         u_x, u_y = _signal(top, "input_x", sys), _signal(top, "input_y", sys)
         cloud = top.obj("cloud")
-        k, std = cloud.get("k", conv=_integer), cloud.get("std", 1.0, float)
+        k, std = cloud.get("k", conv=_integer), cloud.get("std", 1.0, _real)
         with cloud.building():  # the scenario checks the clouds it is given
             x0, y0 = (cloud.get(key, [0.0] * n, _vector(n))
                       + std * RngLineage(seed, path).stream().standard_normal((k, n))
@@ -271,7 +279,7 @@ def _moment_scenario(kind: str, top: _Fields, sys: SystemSpec, grid: TimeGrid):
     theta = _signal(top, "theta", sys)
     f = top.obj("eq_map")
     with f.building():
-        eq = EquilibriumMap.affine(f.get("M"), f.get("b", None))
+        eq = EquilibriumMap.affine(f.get("M", conv=_array), f.get("b", None, _array))
     f.done()
     if (eq.state_dim, eq.input_dim) != (n, m):
         raise ConfigError(f"'eq_map' must map the system's {m} inputs to its {n} states")
@@ -279,17 +287,17 @@ def _moment_scenario(kind: str, top: _Fields, sys: SystemSpec, grid: TimeGrid):
         noise, xi0 = OUParams(c=sys.certificate.c_hat, sigma=0.0, dim=m), np.zeros(m)
     else:
         f = top.obj("noise")
-        c = f.get("c", sys.certificate.c_hat, float)
+        c = f.get("c", sys.certificate.c_hat, _real)
         with f.building():
             if kind.startswith("track_ou"):
-                noise = OUParams(c=c, sigma=f.get("sigma", conv=float), dim=m)
+                noise = OUParams(c=c, sigma=f.get("sigma", conv=_real), dim=m)
                 xi0 = top.get("xi0", [0.0] * m, _vector(m))
             else:  # JD: xi0 is the initial input u0
-                noise = JDParams(c=c, theta=theta, sigma_u=f.get("sigma_u", conv=float),
-                                 a=f.get("a"), unsafe=f.get("unsafe", False, bool))
+                noise = JDParams(c=c, theta=theta, sigma_u=f.get("sigma_u", conv=_real),
+                                 a=f.get("a", conv=_array), unsafe=f.get("unsafe", False, bool))
                 xi0 = top.get("u0", theta.value(grid.t0).tolist(), _vector(m))
         f.done()
-    _check_input_process(noise, sys, xi0, grid, False)
+    _check_input_process(noise, theta, sys, xi0, grid)
     return CascadeScenario(noise=noise, theta=theta, sys=sys, x0=x0, xi0=xi0, grid=grid), eq
 
 
@@ -305,12 +313,14 @@ def _build_signal(f: _Fields) -> InputSignal:
     kind = f.get("kind")
     with f.building():
         if kind == "constant":
-            sig = InputSignal.constant(f.get("value"))
+            sig = InputSignal.constant(f.get("value", conv=_array))
         elif kind == "sinusoid":
-            sig = InputSignal.sinusoid(f.get("amplitude"), omega=f.get("omega", 1.0),
-                                       phase=f.get("phase", 0.0), offset=f.get("offset", None))
+            sig = InputSignal.sinusoid(
+                f.get("amplitude", conv=_array), omega=f.get("omega", 1.0, _real),
+                phase=f.get("phase", 0.0, _real), offset=f.get("offset", None, _array))
         elif kind == "piecewise_linear":
-            sig = InputSignal.piecewise_linear(f.get("times"), f.get("values"))
+            sig = InputSignal.piecewise_linear(f.get("times", conv=_array),
+                                               f.get("values", conv=_array))
         else:
             raise ConfigError(f"unknown input signal kind '{kind}'")
     f.done()
@@ -324,10 +334,10 @@ def _build_system(f: _Fields) -> SystemSpec:
     if name not in (None, "scalar_tracker"):
         raise ConfigError(f"unknown system name '{name}'")
     if name is None:
-        A, B, Sigma = (f.get(key, conv=np.asarray) for key in ("A", "B", "Sigma"))
-        P = f.get("P", np.eye(A.shape[0] if A.ndim else 0).tolist(), np.asarray)
+        A, B, Sigma = (f.get(key, conv=_array) for key in ("A", "B", "Sigma"))
+        P = f.get("P", np.eye(A.shape[0] if A.ndim else 0).tolist(), _array)
     else:
-        c, sigma = f.get("c", conv=float), f.get("sigma", conv=float)
+        c, sigma = f.get("c", conv=_real), f.get("sigma", conv=_real)
     f.done()
     with f.building():
         return scalar_tracker(c, sigma) if name else affine_system(A, B, Sigma, validate_metric(P))
@@ -337,7 +347,7 @@ def _gibbs_potential(f: _Fields):
     """(f, grad f, curvature c) of the config's potential."""
     kind = f.get("kind")
     if kind == "quadratic":
-        cpot = f.get("c", 1.0, float)
+        cpot = f.get("c", 1.0, _real)
         if not (math.isfinite(cpot) and cpot > 0.0):  # before default_dt(c) divides by it
             raise ConfigError(f"invalid potential field 'c': the curvature must be "
                               f"positive and finite, got {cpot!r}")

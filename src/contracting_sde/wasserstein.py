@@ -376,21 +376,9 @@ def _cloud_distance(X, Y, p, norm):
     return wasserstein_assignment(EmpiricalMeasure(X), EmpiricalMeasure(Y), p, norm)
 
 
-def verify_wasserstein_contraction(
-    scenario: WassersteinScenario,
-    p,
-    master_seed: int,
-    checkpoints=None,
-    norm=None,
-    n_workers: int = 1,
-) -> Verdict:
-    """Check empirical W_p <= envelope * (1 + 2/sqrt(k)) at every checkpoint;
-    ``n_workers`` is accepted and has no effect, as in ``wasserstein_series``."""
-    series = wasserstein_series(scenario, p, master_seed, checkpoints=checkpoints, norm=norm)
-    return _wasserstein_verdict(*series, scenario.k)
-
-
 def _wasserstein_verdict(times, w_emp, env, k: int) -> Verdict:
+    """Check empirical W_p <= envelope * (1 + 2/sqrt(k)) at every checkpoint
+    of a ``wasserstein_series``."""
     slack = 2.0 / math.sqrt(k)
     allowed = env * (1.0 + slack)
     margins = (allowed - w_emp) / np.maximum(allowed, 1e-12)

@@ -781,14 +781,14 @@ class TestBuildErrorsNameTheirObject:
         (_minimal_niss_pair(grid={"dt": 0.01, "steps": -5}), "grid", "steps must be nonnegative"),
         (_minimal_niss_pair(grid={"dt": math.inf, "steps": 5}), "grid",
          "dt must be positive and finite"),
-        (_tiny_run_config(input_x={"kind": "sinusoid", "amplitude": ["x"]}), "input_x",
-         "could not convert string to float: 'x'"),
+        (_tiny_run_config(input_x={"kind": "piecewise_linear", "times": [0.0],
+                                   "values": [[0.5]]}), "input_x", "knot times must be strictly"),
         (_tiny_jd(theta={"kind": "piecewise_linear", "times": [1.0, 0.0],
                          "values": [[0.5], [0.5]]}), "theta", "knot times must be strictly"),
         (_tiny_jd(noise={"sigma_u": 0.5, "a": [-1.0]}), "noise",
          "JD upper bounds a must be positive"),
-        (_tiny_track_didc(eq_map={"M": [["x"]]}), "eq_map",
-         "could not convert string to float: 'x'"),
+        (_tiny_track_didc(eq_map={"M": [[1.0]], "b": [0.0, 1.0]}), "eq_map",
+         "cannot reshape array of size 2"),
         (_tiny_wasserstein(cloud={"k": -5}), "cloud", "negative dimensions"),
         (_tiny_wasserstein(cloud={"k": 0}), "cloud", "initial clouds are empty"),
         (_tiny_wasserstein(cloud={"k": 1}), "cloud", "initial clouds need at least 2 samples"),
@@ -811,6 +811,76 @@ class TestBuildErrorsNameTheirObject:
         assert code == EXIT_ERROR
         assert f"config error: invalid {obj}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _tiny_ou(**extra):
+    return {**_tiny_jd(), "scenario_kind": "track_ou_sidc", "noise": {"sigma": 0.1}, **extra}
+
+
+def _signal_with(**fields):
+    return {"kind": "sinusoid", "amplitude": [0.1], **fields}
+
+
+class TestConfigNumbersAreNumbers:
+    """A numeric field, scalar or array, takes JSON numbers only: a string
+    or a boolean anywhere in it is a ConfigError naming the object and key,
+    where float() and np.asarray would have converted it."""
+
+    @pytest.mark.parametrize("config, obj, key", [
+        (_minimal_niss_pair(grid={"dt": "0.01"}), "grid", "dt"),
+        (_minimal_niss_pair(grid={"dt": True}), "grid", "dt"),
+        (_minimal_niss_pair(grid={"dt": [0.01]}), "grid", "dt"),
+        (_minimal_niss_pair(grid={"t0": "0"}), "grid", "t0"),
+        (_minimal_niss_pair(x0=["0.5"]), "config", "x0"),
+        (_minimal_niss_pair(y0=[True]), "config", "y0"),
+        (_minimal_niss_pair(system={"A": [["-1"]], "B": [[1.0]], "Sigma": [[0.3]]}),
+         "system", "A"),
+        (_minimal_niss_pair(system={"A": [[-1.0]], "B": [[1, True]], "Sigma": [[0.3]]}),
+         "system", "B"),
+        (_minimal_niss_pair(system={"A": [[-1.0]], "B": [[1.0]], "Sigma": [[0.3]],
+                                    "P": [["1"]]}), "system", "P"),
+        (_minimal_niss_pair(system={"name": "scalar_tracker", "c": "1.0", "sigma": 0.3}),
+         "system", "c"),
+        (_minimal_niss_pair(system={"name": "scalar_tracker", "c": 1.0, "sigma": False}),
+         "system", "sigma"),
+        (_minimal_niss_pair(input_x={"kind": "constant", "value": ["1"]}), "input_x", "value"),
+        (_minimal_niss_pair(input_x=_signal_with(amplitude=[True])), "input_x", "amplitude"),
+        (_minimal_niss_pair(input_x=_signal_with(omega="1")), "input_x", "omega"),
+        (_minimal_niss_pair(input_x=_signal_with(phase=True)), "input_x", "phase"),
+        (_minimal_niss_pair(input_y=_signal_with(offset=["0"])), "input_y", "offset"),
+        (_tiny_jd(theta={"kind": "piecewise_linear", "times": ["0", "1"],
+                         "values": [[0.5], [0.5]]}), "theta", "times"),
+        (_tiny_jd(theta={"kind": "piecewise_linear", "times": [0, 1],
+                         "values": [[0.5], ["0.5"]]}), "theta", "values"),
+        (_tiny_jd(eq_map={"M": [[True]]}), "eq_map", "M"),
+        (_tiny_jd(eq_map={"M": [[1.0]], "b": ["0"]}), "eq_map", "b"),
+        (_tiny_jd(noise={"sigma_u": "0.5", "a": [1.0]}), "noise", "sigma_u"),
+        (_tiny_jd(noise={"sigma_u": 0.5, "a": ["1"]}), "noise", "a"),
+        (_tiny_jd(noise={"c": True, "sigma_u": 0.5, "a": [1.0]}), "noise", "c"),
+        (_tiny_jd(u0=["0.5"]), "config", "u0"),
+        (_tiny_ou(noise={"sigma": "0.1"}), "noise", "sigma"),
+        (_tiny_ou(xi0=[False]), "config", "xi0"),
+        (_tiny_wasserstein(cloud={"k": 64, "std": "1"}), "cloud", "std"),
+        (_tiny_wasserstein(cloud={"k": 64, "mean_x": ["0"]}), "cloud", "mean_x"),
+        (_gibbs(potential={"kind": "quadratic", "c": "1"}), "potential", "c"),
+        (_gibbs(sigma="1.0"), "config", "sigma"),
+    ])
+    def test_a_string_or_bool_is_not_a_number(self, config, obj, key):
+        with pytest.raises(ConfigError, match=f"invalid {obj} field '{key}': value must be "):
+            parse_config(json.dumps(config))
+
+    def test_numbers_of_every_json_form_are_accepted(self):
+        cfg = parse_config(json.dumps(_tiny_jd(grid={"dt": 1e-2, "steps": 100}, x0=[1],
+                                               noise={"sigma_u": 0, "a": [1]})))
+        assert cfg.data["x0"] == [1] and cfg._run.scenario.noise.a.dtype == float
+
+    def test_a_config_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):
+        for data in ([1], "niss_pair", None):
+            with pytest.raises(ConfigError, match="config must be a JSON object"):
+                ScenarioConfig("niss_pair", data)
+        code = main(["run", _write(tmp_path, "list.json", [1]), "--paths", "200"])
+        assert code == EXIT_ERROR
+        assert "config must be a JSON object" in capsys.readouterr().err
 
 
 class TestGibbsKind:

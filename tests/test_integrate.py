@@ -1,6 +1,7 @@
 """Tests for trajectory generation: Euler-Maruyama, coupled pairs,
 input-noise cascades and the RK4 reference solver."""
 
+import dataclasses
 import faulthandler
 import math
 import os
@@ -213,8 +214,8 @@ class TestIntegrateCascade:
             integrate_cascade(noise, theta, sys, [0.5], [0.5],
                               TimeGrid(0.0, 1e-3, 10), RngLineage(0))
         # the unsafe override allows the run
-        integrate_cascade(noise, theta, sys, [0.5], [0.5],
-                          TimeGrid(0.0, 1e-3, 10), RngLineage(0), unsafe=True)
+        integrate_cascade(dataclasses.replace(noise, unsafe=True), theta, sys, [0.5], [0.5],
+                          TimeGrid(0.0, 1e-3, 10), RngLineage(0))
 
     def test_jd_feller_is_checked_on_the_whole_grid(self):
         # theta = 0.5 + 0.45 sin t: the margin is +0.255 at t = 0 and -0.195
@@ -226,8 +227,8 @@ class TestIntegrateCascade:
         grid = TimeGrid(0.0, 1e-2, 200)
         with pytest.raises(ConfigError, match=r"Feller.*margin -0\.195"):
             integrate_cascade(noise, theta, sys, [0.5], [0.5], grid, RngLineage(0))
-        u_traj, _ = integrate_cascade(noise, theta, sys, [0.5], [0.5], grid, RngLineage(0),
-                                      unsafe=True)
+        u_traj, _ = integrate_cascade(dataclasses.replace(noise, unsafe=True), theta, sys,
+                                      [0.5], [0.5], grid, RngLineage(0))
         assert np.all((u_traj.states > 0.0) & (u_traj.states < 1.0))
 
     def test_jd_initial_condition_validated(self):
@@ -238,6 +239,25 @@ class TestIntegrateCascade:
             integrate_cascade(noise, theta, sys, [0.5], [1.5],
                               TimeGrid(0.0, 1e-3, 10), RngLineage(0))
 
+
+    def test_jd_theta_must_be_the_noise_theta(self):
+        # a JD cascade steps toward noise.theta: a cascade theta that differs
+        # from it on the grid is refused, not silently ignored
+        sys = scalar_tracker(1.0, 0.2)
+        noise = JDParams(c=1.0, theta=InputSignal.constant([0.5]), sigma_u=0.3, a=[1.0])
+        grid, eq = TimeGrid(0.0, 1e-2, 50), EquilibriumMap.affine([[1.0]])
+        other = InputSignal.sinusoid([0.1], offset=[0.5])  # equal to it at t = 0 only
+        with pytest.raises(InputError, match="JD cascade's theta differs on the grid"):
+            integrate_cascade(noise, other, sys, [0.5], [0.5], grid, RngLineage(0))
+        sc = CascadeScenario(noise, other, sys, [0.5], [0.5], grid)
+        with pytest.raises(InputError, match="JD cascade's theta differs on the grid"):
+            tracking_error_moment(sc, eq, "deterministic_curve", 100, 0)
+        # a signal equal to noise.theta on the grid runs the same cascade
+        runs = [integrate_cascade(noise, th, sys, [0.5], [0.5], grid, RngLineage(0))
+                for th in (noise.theta, InputSignal.constant([0.5]))]
+        for a, b in zip(*runs):
+            assert np.array_equal(a.states, b.states)
+            assert np.array_equal(a.input_record, b.input_record)
 
     def test_noise_dimension_must_be_the_input_dimension(self):
         with pytest.raises(InputError, match="noise dimension does not match system input"):
@@ -357,6 +377,42 @@ class TestSharedKernel:
         monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", self.SMALL_BUDGET)
         self._assert_spans_blocks(200, 2)
         self._assert_cascade_slots_bit_identical(kind)
+
+    # 23-step draw blocks for COUNT rows of 4 normals, the last one of 1 step
+    @pytest.mark.parametrize("budget", [None, 8 * COUNT * 4 * 24], ids=["one_draw_block", "small"])
+    def test_jd_cascade_rows_match_a_reference_step(self, budget, monkeypatch):
+        # the kernel's Jacobi input of each path, against the full-truncation
+        # Euler step written out here on that path's own Philox draws; 300
+        # steps span three sub-blocks, and the small budget several draw
+        # blocks besides. sigma_u^2 > c, so the run is unsafe and clamps.
+        from contracting_sde import integrate
+        from contracting_sde.integrate import _block, _cascade_blocks, _collect
+
+        if budget is not None:
+            monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", budget)
+            self._assert_spans_blocks(300, 4)
+        sys = affine_system(-np.eye(2), np.eye(2), 0.2 * np.eye(2), identity_metric(2))
+        theta = InputSignal.sinusoid([0.2, 0.5], offset=[0.5, 1.0])
+        a, c, sigma_u = np.array([1.0, 2.0]), 1.0, 3.0
+        noise = JDParams(c=c, theta=theta, sigma_u=sigma_u, a=a, unsafe=True)
+        grid = TimeGrid(0.0, 2e-2, 300)
+        th = theta.values(grid.times())
+        xs, us = _collect(_cascade_blocks(
+            noise, th, sys, _block([0.0, 0.0], 2, self.COUNT), np.array([0.4, 1.2]), grid,
+            self.SEED, self.START), grid.steps)
+        lo, hi = 1e-12 * a, a - 1e-12 * a
+        clamps = 0
+        for i in range(self.COUNT):
+            z = RngLineage(self.SEED, self.START + i).stream().standard_normal((300, 4))[:, :2]
+            u = np.array([0.4, 1.2])
+            for k in range(grid.steps):
+                assert np.array_equal(us[k, i], u), (i, k)
+                prop = (u - (c * (u - th[k])) * grid.dt) + (
+                    (sigma_u * np.sqrt(np.maximum(u * (a - u), 0.0))) * z[k]) * math.sqrt(grid.dt)
+                clamps += np.count_nonzero((prop < lo) | (prop > hi))
+                u = np.where(prop < lo, lo, np.where(prop > hi, hi, prop))
+            assert np.array_equal(us[-1, i], u)
+        assert clamps > 10
 
     def _assert_cascade_slots_bit_identical(self, kind):
         from contracting_sde.integrate import _block, _cascade_blocks, _collect

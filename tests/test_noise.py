@@ -2,6 +2,7 @@
 its moment oracle, and the boundary-safe Jacobi-diffusion step."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,59 @@ class TestJdStep:
         assert np.array_equal(run(), run())
 
 
+class TestJdStepValues:
+    """The step against the full-truncation Euler step written out here:
+    proposal (u - (c (u - th)) dt) + ((sigma_u sqrt(max(u (a - u), 0))) z) sqrt(dt),
+    then each component set to the nearer bound of [1e-12 a, a - 1e-12 a]
+    where it lies outside."""
+
+    A, TH, C, SIGMA, DT = np.array([1.0, 2.0]), np.array([0.3, 1.5]), 2.0, 0.8, 0.01
+    # rows 2 and 3 push one component below the lower bound and one above
+    # the upper; row 1 starts on the closed box's corners
+    U = np.array([[0.5, 1.0], [0.0, 2.0], [0.001, 1.999], [0.999, 0.001]])
+    Z = np.array([[0.1, -0.2], [1.0, 1.0], [-80.0, 80.0], [80.0, -80.0]])
+
+    def _params(self):
+        return JDParams(c=self.C, theta=InputSignal.constant(self.TH), sigma_u=self.SIGMA,
+                        a=self.A)
+
+    def _reference(self, u, z):
+        a = self.A
+        prop = (u - (self.C * (u - self.TH)) * self.DT) + (
+            (self.SIGMA * np.sqrt(np.maximum(u * (a - u), 0.0))) * z) * math.sqrt(self.DT)
+        lo, hi = 1e-12 * a, a - 1e-12 * a
+        below, above = prop < lo, prop > hi
+        return np.where(below, lo, np.where(above, hi, prop)), below, above
+
+    def test_values_and_counts_past_both_bounds(self):
+        expected, below, above = self._reference(self.U, self.Z)
+        assert below.sum() == 2 and above.sum() == 2
+        out, n = jd_step_with_flag(self.U, self._params(), 0.0, self.DT, self.Z)
+        assert np.array_equal(out, expected)
+        assert n == 4
+        # the same rows one at a time, and through jd_step
+        for u, z, row in zip(self.U, self.Z, expected):
+            assert np.array_equal(jd_step(u, self._params(), 0.0, self.DT, z), row)
+
+    def test_in_place_step_writes_only_its_buffers(self):
+        from contracting_sde.noise import _jd_step
+
+        u, z = self.U.copy(), self.Z.copy()
+        proposal, out = np.full_like(u, np.nan), np.full_like(u, np.nan)
+        _jd_step(u, self._params(), self.TH, self.DT, z, proposal, out)
+        expected, below, above = self._reference(self.U, self.Z)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(out != proposal, below | above)
+        assert np.array_equal(u, self.U) and np.array_equal(z, self.Z)
+
+    def test_steps_at_the_box_corners_raise_no_warning(self):
+        p = JDParams(c=1.0, theta=_const_theta(0.5), sigma_u=0.5, a=[1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, n = jd_step_with_flag(np.array([[0.0], [1.0]]), p, 0.0, 1e-3, np.ones((2, 1)))
+        assert np.all((out > 0.0) & (out < 1.0)) and n == 0
+
+
 class TestFellerCheck:
     def test_reference_parameters(self):
         p = JDParams(c=1.0, theta=_const_theta(0.5), sigma_u=math.sqrt(0.5), a=[1.0])
@@ -245,3 +299,31 @@ class TestParamValidation:
     def test_jd_sigma_u_nonnegative(self):
         with pytest.raises(InputError, match="JD sigma_u must be nonnegative"):
             JDParams(c=1.0, theta=_const_theta(0.5), sigma_u=-0.1, a=[1.0])
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(c=math.nan, sigma=1.0), dict(c=math.inf, sigma=1.0), dict(c=1.0, sigma=math.inf),
+    dict(c=1.0, sigma=math.nan), dict(c=1.0, sigma=1.0, dim=1.5),
+    dict(c=1.0, sigma=1.0, dim=True), dict(c=1.0, sigma=1.0, dim="2"),
+], ids=["c=nan", "c=inf", "sigma=inf", "sigma=nan", "dim=1.5", "dim=True", "dim='2'"])
+def test_ou_params_must_be_finite_with_an_integer_dim(kwargs):
+    with pytest.raises(InputError, match="OU (rate c|sigma|dim)"):
+        OUParams(**kwargs)
+
+
+def test_ou_integral_dim_is_an_int():
+    assert type(OUParams(c=1.0, sigma=1.0, dim=2.0).dim) is int
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(c=math.nan), "JD rate c"), (dict(c=math.inf), "JD rate c"),
+    (dict(sigma_u=math.nan), "JD sigma_u"), (dict(sigma_u=math.inf), "JD sigma_u"),
+    (dict(a=[math.inf]), "JD upper bounds a"), (dict(a=[math.nan]), "JD upper bounds a"),
+    (dict(a=[[1.0]]), "JD upper bounds a"),
+    (dict(theta=InputSignal.constant([0.5, 0.5])), "JD theta has 2 components, a has 1"),
+], ids=["c=nan", "c=inf", "sigma_u=nan", "sigma_u=inf", "a=inf", "a=nan", "a=2-D",
+        "theta=2-D"])
+def test_jd_params_are_checked_when_made(kwargs, message):
+    args = dict(c=1.0, theta=_const_theta(0.5), sigma_u=0.1, a=[1.0])
+    with pytest.raises(InputError, match=message):
+        JDParams(**{**args, **kwargs})

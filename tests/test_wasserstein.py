@@ -33,14 +33,15 @@ from contracting_sde import (
     run_scenario,
     stationarity_residual,
     validate_metric,
-    verify_wasserstein_contraction,
     wasserstein_1d,
     wasserstein_assignment,
     wasserstein_envelope,
     wasserstein_series,
 )
 from contracting_sde import wasserstein
-from contracting_sde.wasserstein import _bottleneck_assignment, _pairwise_norms, _threshold_csr
+from contracting_sde.wasserstein import (
+    _bottleneck_assignment, _pairwise_norms, _threshold_csr, _wasserstein_verdict,
+)
 
 
 class TestWasserstein1d:
@@ -634,7 +635,7 @@ class TestWassersteinSeries:
         )
         _, w, _ = wasserstein_series(sc, 2, master_seed=1)
         assert np.all(w <= 1e-12)
-        assert verify_wasserstein_contraction(sc, 2, master_seed=1).holds
+        assert _wasserstein_verdict(*wasserstein_series(sc, 2, master_seed=1), sc.k).holds
 
     def test_offset_clouds_contract_within_envelope(self):
         sys = _scalar_ou_system()
@@ -646,7 +647,7 @@ class TestWassersteinSeries:
             u_x=InputSignal.constant([1.0]), u_y=InputSignal.constant([0.0]),
             grid=TimeGrid(0.0, 2e-3, 1500),
         )
-        verdict = verify_wasserstein_contraction(sc, 2, master_seed=2)
+        verdict = _wasserstein_verdict(*wasserstein_series(sc, 2, master_seed=2), sc.k)
         assert verdict.holds, verdict
 
     def test_checkpoints_resolved_on_grid(self):
