@@ -107,6 +107,13 @@ def _integer(v, name: str = "value") -> int:
     return int(v)
 
 
+def _boolean(v) -> bool:
+    """``v`` if it is True or False; a string, a number or None raises InputError."""
+    if not isinstance(v, bool):
+        raise InputError(f"value must be true or false, got {v!r}")
+    return v
+
+
 def _real(v, array: bool = False):
     """``v`` as a float, or with ``array`` as a float array of nested lists of
     numbers; a bool, a string or any other value in it raises InputError."""

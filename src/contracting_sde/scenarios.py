@@ -33,6 +33,7 @@ from .core import (
     InputSignal,
     SystemSpec,
     TimeGrid,
+    _boolean,
     _integer,
     _real,
     _row_norm_sq,
@@ -294,7 +295,7 @@ def _moment_scenario(kind: str, top: _Fields, sys: SystemSpec, grid: TimeGrid):
                 xi0 = top.get("xi0", [0.0] * m, _vector(m))
             else:  # JD: xi0 is the initial input u0
                 noise = JDParams(c=c, theta=theta, sigma_u=f.get("sigma_u", conv=_real),
-                                 a=f.get("a", conv=_array), unsafe=f.get("unsafe", False, bool))
+                                 a=f.get("a", conv=_array), unsafe=f.get("unsafe", False, _boolean))
                 xi0 = top.get("u0", theta.value(grid.t0).tolist(), _vector(m))
         f.done()
     _check_input_process(noise, theta, sys, xi0, grid)

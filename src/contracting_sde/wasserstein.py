@@ -18,12 +18,13 @@ the answer from above; for the common-noise coupled clouds of ``wasserstein_seri
 it is often the answer, so the first probe is at the largest distance below
 it, and if that probe fails the solve is done. Each probe is one
 Hopcroft-Karp matching on a CSR threshold graph built directly, each row's
-columns in index order; a probe that finds a perfect matching lowers the
-upper end to that matching's largest distance, and the probe after a
-successful first one is at the lower end. l2 distances are summed
-coordinate by coordinate, with no (k, k, n) difference tensor. A weighted
-norm maps both clouds through its Cholesky factor, so 1-D clouds keep the
-sorted formula. Problem size is capped at k = 2048 samples per measure.
+columns in index order, in the solve's one CSR container; a probe that
+finds a perfect matching lowers the upper end to that matching's largest
+distance, and the probe after a successful first one is at the lower end.
+l2 distances are summed coordinate by coordinate, with no (k, k, n)
+difference tensor. A weighted norm maps both clouds through its Cholesky
+factor, so 1-D clouds keep the sorted formula. Problem size is capped at
+k = 2048 samples per measure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_times, decay_convolution
+from .bounds import _check_times, _conv_term, _eval_terms, decay_convolution
 from .core import InputSignal, Metric, SystemSpec, TimeGrid, _row_norm_sq
 from .errors import CapabilityError, CapacityError, DomainError, InputError
 from .integrate import CouplingMode, _blocks, _check_pair, _chunks
@@ -199,8 +200,9 @@ def _bottleneck_assignment(D: np.ndarray) -> float:
     that succeeds, the next is at the lower bound; the rest is bisected.
     Each probe's graph comes from ``_threshold_csr``, rows and columns
     relabelled by ascending degree so that Hopcroft-Karp matches the
-    scarcest vertices first, its row pointers in one int32 ``indptr``
-    allocated per solve.
+    scarcest vertices first. Each probe swaps its ``indices``, its row
+    pointers (one int32 ``indptr`` per solve) and a prefix of k^2 True
+    values into one CSR container per solve: scipy validates nothing.
     """
     import scipy.sparse.csgraph
 
@@ -210,11 +212,12 @@ def _bottleneck_assignment(D: np.ndarray) -> float:
     lo, hi = 0, cands.shape[0] - 1
     indptr = np.zeros(k + 1, np.int32)
     col_ids = np.broadcast_to(np.arange(k, dtype=np.int32), (k, k))
+    graph, ones = scipy.sparse.csr_matrix((k, k), dtype=bool), np.ones(k * k, bool)
 
     def matched_max(tau):
         """The largest distance of a perfect matching in {D <= tau}, or None."""
         rows, cols, indices = _threshold_csr(D, tau, indptr, col_ids)
-        graph = scipy.sparse.csr_matrix((np.ones_like(indices, bool), indices, indptr), (k, k))
+        graph.indices, graph.indptr, graph.data = indices, indptr, ones[:indices.shape[0]]
         match = scipy.sparse.csgraph.maximum_bipartite_matching(graph, perm_type="column")
         if np.any(match < 0):
             return None
@@ -241,22 +244,30 @@ def _threshold_csr(D: np.ndarray, tau, indptr: np.ndarray, col_ids: np.ndarray):
     first 0) and returns (rows, cols, indices): relabelled row r is row
     rows[r] of D, relabelled column c is column cols[c], and ``indices``
     are taken from ``col_ids``, the int32 column ids 0..k-1 broadcast to
-    (k, k).
+    (k, k). Degrees are int32 sums of the mask's uint8 view.
     """
     mask = D <= tau
-    deg = np.count_nonzero(mask, axis=1)
+    bits = mask.view(np.uint8)
+    deg = bits.sum(axis=1, dtype=np.int32)
     rows = np.argsort(deg, kind="stable")
-    cols = np.argsort(np.count_nonzero(mask, axis=0), kind="stable")
+    cols = np.argsort(bits.sum(axis=0, dtype=np.int32), kind="stable")
     np.cumsum(deg[rows], out=indptr[1:])
     return rows, cols, col_ids[mask.take(rows, 0).take(cols, 1)]
 
 
 def wasserstein_envelope(W0: float, c: float, ell: float, input_gap, t: float) -> float:
-    """e^{-ct} W0 + ell * integral_0^t e^{-c(t-tau)} gap(tau) dtau."""
+    """e^{-ct} W0 + ell * integral_0^t e^{-c(t-tau)} gap(tau) dtau at a time t or
+    an array of times: for c > 0 a number gap takes the closed form of the
+    term list, all times in one pass; a callable is integrated at each time."""
     if not all(0 <= v < math.inf for v in (W0, c, ell)):
         raise InputError(f"W0, c, ell must be finite and nonnegative, got {W0}, {c}, {ell}")
     _check_times(t)
-    return math.exp(-c * t) * W0 + ell * decay_convolution(input_gap, c, t)
+    if callable(input_gap) or c == 0.0:
+        env = np.array([math.exp(-c * s) * W0 + ell * decay_convolution(input_gap, c, s)
+                        for s in np.ravel(t)])
+    else:
+        env = _eval_terms([("exp", W0, c)] + _conv_term(ell, c, input_gap), np.ravel(t), None)
+    return float(env[0]) if np.ndim(t) == 0 else env.reshape(np.shape(t))
 
 
 @dataclass(frozen=True)
@@ -318,9 +329,10 @@ def wasserstein_series(
     state-independent dispersion and share the common Brownian source; each
     path pair i is driven by the stream keyed (master_seed, i). Distances
     are measured in ``norm``, by default the first system's metric, in
-    which the envelope's c and ell are certified. ``n_workers`` is accepted
-    and has no effect; it does not govern the helper thread that fills a
-    chunk's normals (``integrate._draws``).
+    which the envelope's c and ell are certified; with two constant inputs
+    it takes its closed form. ``n_workers`` is accepted and has no effect;
+    it does not govern the helper thread that fills a chunk's normals
+    (``integrate._draws``).
     """
     sc = scenario
     norm = sc.sys_x.metric if norm is None else norm
@@ -348,14 +360,13 @@ def wasserstein_series(
 
     c, ell = sc.sys_x.certificate.c_hat, sc.sys_x.certificate.ell_hat
     gap = lambda ts: np.sqrt(_row_norm_sq(sc.u_x.value(ts) - sc.u_y.value(ts)))
+    if sc.u_x.kind == sc.u_y.kind == "constant":  # a number: the closed form
+        gap = float(gap(grid.t0)[0])
     w_emp = np.array([
         _cloud_distance(clouds_x[a], clouds_y[a], p, norm) for a in range(idx.shape[0])
     ])
     W0 = float(w_emp[0]) if idx[0] == 0 else _cloud_distance(sc.x0_samples, sc.y0_samples, p, norm)
-    env = np.array([
-        wasserstein_envelope(W0, c, ell, gap, times[j] - grid.t0) for j in idx
-    ])
-    return times[idx], w_emp, env
+    return times[idx], w_emp, wasserstein_envelope(W0, c, ell, gap, times[idx] - grid.t0)
 
 
 def _fill_clouds(clouds, idx, paths, blocks):

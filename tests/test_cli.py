@@ -3,6 +3,7 @@ front end (exit codes, overrides, reproducibility of written artifacts)."""
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -867,6 +868,24 @@ class TestConfigNumbersAreNumbers:
     ])
     def test_a_string_or_bool_is_not_a_number(self, config, obj, key):
         with pytest.raises(ConfigError, match=f"invalid {obj} field '{key}': value must be "):
+            parse_config(json.dumps(config))
+
+    @pytest.mark.parametrize("unsafe", ["false", "true", 0, 1, 0.0, None, [False]])
+    def test_unsafe_takes_a_json_boolean_only(self, unsafe):
+        # sigma_u = 2 breaks the Feller condition: a truthy non-boolean
+        # would switch its check off
+        config = _feller_violation()
+        config["noise"]["unsafe"] = unsafe
+        with pytest.raises(ConfigError, match=f"invalid noise field 'unsafe': value must be "
+                                              f"true or false, got {re.escape(repr(unsafe))}"):
+            parse_config(json.dumps(config))
+
+    def test_unsafe_booleans_switch_the_feller_check(self):
+        config = _feller_violation()
+        config["noise"]["unsafe"] = True
+        assert parse_config(json.dumps(config))._run.scenario.noise.unsafe is True
+        config["noise"]["unsafe"] = False
+        with pytest.raises(ConfigError, match="Feller"):
             parse_config(json.dumps(config))
 
     def test_numbers_of_every_json_form_are_accepted(self):

@@ -400,6 +400,41 @@ class TestBottleneckOracle:
             assert indptr.dtype == ref_indptr.dtype and np.array_equal(indptr, ref_indptr)
             assert indices.dtype == ref_indices.dtype and np.array_equal(indices, ref_indices)
 
+    @pytest.mark.parametrize("k", [1, 2, 128])
+    @pytest.mark.parametrize("cloud", ["random", "integer_grid"])
+    def test_every_probe_matches_a_fresh_csr_matrix(self, k, cloud, monkeypatch):
+        # each probe of a solve swaps its arrays into one container; at every
+        # probe the matching on that container equals the matching on a
+        # csr_matrix newly built, and validated, from the same arrays
+        matching = scipy.sparse.csgraph.maximum_bipartite_matching
+        graphs = []
+
+        def compared(graph, perm_type):
+            match = matching(graph, perm_type=perm_type)
+            fresh = scipy.sparse.csr_matrix(
+                (np.ones(graph.indices.shape[0], bool), graph.indices.copy(),
+                 graph.indptr.copy()), graph.shape)
+            fresh.check_format(full_check=True)
+            assert np.array_equal(match, matching(fresh, perm_type=perm_type))
+            graphs.append(graph)
+            return match
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "maximum_bipartite_matching", compared)
+        rng = np.random.default_rng(1000 + k)
+        probes = 0
+        for _ in range(4):
+            if cloud == "random":
+                D = _euclidean(rng.standard_normal((k, 2)), rng.standard_normal((k, 2)) + 0.5)
+            else:  # l1 distances on a small integer grid: many ties
+                X = rng.integers(0, 6, (k, 2)).astype(float)
+                Y = rng.integers(0, 6, (k, 2)).astype(float) + [0.0, 1.0]
+                D = np.abs(X[:, None, :] - Y[None, :, :]).sum(axis=2)
+            graphs.clear()
+            assert _bottleneck_assignment(D) == _lsa_bottleneck(D)
+            assert len({id(g) for g in graphs}) <= 1  # one container per solve
+            probes += len(graphs)
+        assert probes > 0 or k == 1  # a 1 x 1 solve needs no probe
+
     @pytest.mark.parametrize("k", [8, 64, 200])
     def test_shuffled_pairing_is_bisected(self, k):
         # permuting Y's rows puts the identity pairing far from optimal
@@ -579,6 +614,18 @@ class TestWassersteinEnvelope:
     def test_long_time_limit(self):
         val = wasserstein_envelope(5.0, 1.0, 0.8, 0.5, 80.0)
         assert val == pytest.approx(0.8 * 0.5 / 1.0, rel=1e-9)
+
+    def test_times_in_one_array_equal_each_time_alone(self):
+        ts = np.linspace(0.0, 4.0, 9)
+        for gap in (0.4, lambda t: 0.4 + 0.1 * np.sin(t)):
+            env = wasserstein_envelope(1.0, 1.2, 0.7, gap, ts)
+            assert env.shape == ts.shape
+            assert env.tolist() == [wasserstein_envelope(1.0, 1.2, 0.7, gap, t) for t in ts]
+
+    def test_no_contraction_grows_linearly(self):
+        # c = 0 has no closed form of the term list; the gap is integrated
+        assert wasserstein_envelope(2.0, 0.0, 0.5, 0.4, 3.0) == pytest.approx(
+            2.0 + 0.5 * 0.4 * 3.0, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -773,6 +820,77 @@ class TestWassersteinSeries:
             # by default distances are measured in the system's metric
             _, w_default, _ = wasserstein_series(sc, p, master_seed=4)
             np.testing.assert_array_equal(w_default, w_metric)
+
+    @pytest.mark.parametrize("n, du, shift", [
+        (1, [0.8], 2.0),  # 1-D gap
+        (2, [0.3, -0.4], 1.5),  # 2-D gap
+        (1, [0.0], 2.0),  # g = 0
+        (2, [0.6, 0.0], 0.0),  # W0 = 0: the same cloud twice
+    ])
+    def test_constant_input_envelope_against_quadrature(self, n, du, shift):
+        # W0 e^{-ct} + ell * integral_0^t e^{-c(t-tau)} g dtau at every
+        # checkpoint, the integral by scipy's quad
+        import scipy.integrate
+
+        sys = affine_system(-1.3 * np.eye(n), 0.9 * np.eye(n), 0.4 * np.eye(n),
+                            identity_metric(n))
+        x0 = np.random.default_rng(11).standard_normal((32, n))
+        sc = WassersteinScenario(
+            sys_x=sys, sys_y=sys, x0_samples=x0 + shift, y0_samples=x0.copy(),
+            u_x=InputSignal.constant(du), u_y=InputSignal.constant([0.0] * n),
+            grid=TimeGrid(0.5, 1e-2, 300),
+        )
+        times, w, env = wasserstein_series(sc, 2, master_seed=6)
+        c, ell = sys.certificate.c_hat, sys.certificate.ell_hat
+        g, W0 = math.hypot(*du), w[0]
+        assert times[0] == 0.5 and (W0 == 0.0) == (shift == 0.0)
+        for t, e in zip(times - 0.5, env):
+            integral, _ = scipy.integrate.quad(lambda tau: math.exp(-c * (t - tau)) * g, 0.0, t,
+                                               epsabs=0.0, epsrel=1e-13)
+            expect = W0 * math.exp(-c * t) + ell * integral
+            assert e == pytest.approx(expect, rel=1e-12, abs=1e-300)
+
+    def test_constant_input_run_integrates_nothing(self, tmp_path, monkeypatch):
+        from contracting_sde import bounds
+
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return bounds.decay_convolution(*args)
+
+        monkeypatch.setattr(wasserstein, "decay_convolution", counted)
+        cfg = parse_config(json.dumps({
+            "scenario_kind": "wasserstein",
+            "system": {"name": "scalar_tracker", "c": 1.0, "sigma": 0.3},
+            "input_x": {"kind": "constant", "value": [0.5]},
+            "input_y": {"kind": "constant", "value": [0.0]},
+            "cloud": {"k": 64, "mean_x": [1.0], "mean_y": [0.0]},
+            "grid": {"dt": 0.01, "steps": 100},
+        }))
+        assert run_scenario(cfg, tmp_path / "bundle").holds
+        assert calls == []
+        cfg.data["input_y"] = {"kind": "sinusoid", "amplitude": [0.1]}
+        assert run_scenario(parse_config(json.dumps(cfg.data)), tmp_path / "b2").holds
+        assert len(calls) == 21  # a quadrature at each checkpoint
+
+    @pytest.mark.parametrize("u_x", [InputSignal.sinusoid([0.6], omega=2.0, offset=[0.3]),
+                                     InputSignal.constant([0.3])])
+    def test_varying_input_envelope_keeps_its_bits(self, u_x):
+        # a non-constant gap keeps the quadrature at each checkpoint, bit for
+        # bit as e^{-ct} W0 + ell * decay_convolution(gap, c, t)
+        from contracting_sde import decay_convolution
+
+        sys = _scalar_ou_system()
+        u_y = InputSignal.sinusoid([0.2], omega=0.5)
+        x0 = np.random.default_rng(12).standard_normal((32, 1))
+        sc = WassersteinScenario(sys_x=sys, sys_y=sys, x0_samples=x0 + 1.0, y0_samples=x0,
+                                 u_x=u_x, u_y=u_y, grid=TimeGrid(0.0, 1e-2, 200))
+        times, w, env = wasserstein_series(sc, 2, master_seed=7)
+        c, ell = sys.certificate.c_hat, sys.certificate.ell_hat
+        gap = lambda ts: np.abs(u_x.value(ts) - u_y.value(ts))[:, 0]
+        expect = [math.exp(-c * t) * w[0] + ell * decay_convolution(gap, c, t) for t in times]
+        assert env.tolist() == expect
 
     def test_one_sample_clouds_are_rejected(self):
         sys = _scalar_ou_system()
