@@ -2,6 +2,13 @@
 (independent or common noise), input-noise cascades, and classical RK4 for
 deterministic comparisons.
 
+A pair or a cascade is checked and prepared once, when its ``PairScenario``
+or ``CascadeScenario`` is made: dimensions, coupling mode, a Jacobi input's
+theta, start and Feller condition, and the dt * L warning; it keeps its
+input rows on the grid. Every run of it, one path of ``integrate_pair`` or
+``integrate_cascade`` or a chunk of a ``montecarlo`` ensemble, runs its
+``_blocks`` and checks nothing again.
+
 Inputs are sampled at the left endpoint of each step (explicit scheme, Ito
 convention). Every trajectory steps through one batched kernel,
 ``_blocks``: single paths on a block of one row, ensembles and W_p clouds
@@ -263,7 +270,7 @@ def _chunks(n_paths):
 
 
 def _warn_step_size(sys: SystemSpec, grid: TimeGrid, stacklevel: int = 3):
-    """Warn at the user's call: stacklevel 3 from a public function, 4 from a _check_*."""
+    """Warn at the caller: stacklevel 3 from a public function, 4 from a ``__post_init__``."""
     if sys.lipschitz_budget is not None and grid.dt * sys.lipschitz_budget > 0.1:
         warnings.warn(
             f"dt * L = {grid.dt * sys.lipschitz_budget:.3g} > 0.1; "
@@ -273,41 +280,113 @@ def _warn_step_size(sys: SystemSpec, grid: TimeGrid, stacklevel: int = 3):
         )
 
 
-def _check_pair(sys_x: SystemSpec, sys_y: SystemSpec, mode, grid: TimeGrid):
-    if sys_x.state_dim != sys_y.state_dim:
-        raise InputError(
-            f"a pair needs one state space; the systems have {sys_x.state_dim} "
-            f"and {sys_y.state_dim} states"
-        )
-    if mode is CouplingMode.COMMON and sys_x.noise_dim != sys_y.noise_dim:
-        raise InputError("common coupling requires equal dispersion column counts")
-    _warn_step_size(sys_x, grid, stacklevel=4)
+def _signal_rows(sig: InputSignal, name: str, dim: int, times: np.ndarray) -> np.ndarray:
+    """The (len(times), dim) values of the input signal ``name``; InputError
+    unless it has one component per input of its system."""
+    if sig.dim != dim:
+        raise InputError(f"{name} has {sig.dim} components; its system has {dim} inputs")
+    return sig.values(times)
 
 
-def _check_cascade(noise, theta, sys: SystemSpec, xi0, grid: TimeGrid):
-    _warn_step_size(sys, grid, stacklevel=4)
-    _check_input_process(noise, theta, sys, xi0, grid)
+def _assign(obj, **values):
+    """Set attributes of a frozen dataclass while its ``__post_init__`` runs."""
+    for key, value in values.items():
+        object.__setattr__(obj, key, value)
 
 
-def _check_input_process(noise, theta, sys: SystemSpec, xi0, grid: TimeGrid):
-    """Raise unless the noise has the system's input dimension and a Jacobi
-    input reverts to ``theta`` (``noise.theta``, or equal to it on the grid),
-    starts in (0, a) and meets the Feller condition on the grid or is unsafe."""
-    if noise.dim != sys.input_dim:
-        raise InputError("noise dimension does not match system input dimension")
-    if isinstance(noise, JDParams):
-        ts = grid.times()
-        if theta is not noise.theta and not np.array_equal(theta.values(ts), noise.theta.values(ts)):
-            raise InputError("a JD cascade's theta differs on the grid from its noise's theta")
-        u0 = _block(xi0, noise.dim)[0]
-        if np.any(u0 <= 0.0) or np.any(u0 >= noise.a):
-            raise ConfigError("JD initial input must lie inside (0, a)")
-        margin = feller_check(noise, ts)["margin"]
-        if margin < 0.0 and not noise.unsafe:
-            raise ConfigError(
-                "JD parameters violate the boundary-nonattainment (Feller) condition on "
-                f"the grid (margin {margin:.3g}); set JDParams(unsafe=True) to override"
-            )
+@dataclass(frozen=True)
+class PairScenario:
+    """Two coupled systems driven by possibly different inputs. ``mode`` is
+    a CouplingMode or its value; ``x0`` and ``y0`` become float vectors.
+    Checked and prepared when made (see the module docstring)."""
+
+    sys_x: SystemSpec
+    sys_y: SystemSpec
+    x0: np.ndarray
+    y0: np.ndarray
+    u_x: InputSignal
+    u_y: InputSignal
+    mode: CouplingMode
+    grid: TimeGrid
+
+    def __post_init__(self):
+        try:
+            mode = CouplingMode(self.mode)
+        except ValueError:
+            raise InputError(f"unknown coupling mode {self.mode!r}") from None
+        sys_x, sys_y, grid, ts = self.sys_x, self.sys_y, self.grid, self.grid.times()
+        if sys_x.state_dim != sys_y.state_dim:
+            raise InputError(f"a pair needs one state space; the systems have "
+                             f"{sys_x.state_dim} and {sys_y.state_dim} states")
+        if mode is CouplingMode.COMMON and sys_x.noise_dim != sys_y.noise_dim:
+            raise InputError("common coupling requires equal dispersion column counts")
+        _assign(self, mode=mode, x0=_block(self.x0, sys_x.state_dim)[0],
+                y0=_block(self.y0, sys_y.state_dim)[0],
+                _rows=[_signal_rows(self.u_x, "u_x", sys_x.input_dim, ts),
+                       _signal_rows(self.u_y, "u_y", sys_y.input_dim, ts)])
+        _warn_step_size(sys_x, grid, stacklevel=4)
+
+    def _blocks(self, master_seed, start, count):
+        """The kernel's (k, (x, y)) runs of paths start .. start+count-1."""
+        x0s = [v[None].repeat(count, 0) for v in (self.x0, self.y0)]
+        return _blocks([self.sys_x, self.sys_y], x0s, self._rows, self.grid, master_seed, start,
+                       common=self.mode is CouplingMode.COMMON)
+
+
+@dataclass(frozen=True)
+class CascadeScenario:
+    """Input-noise process (OU or JD) feeding a contracting system, checked
+    and prepared when made (see the module docstring).
+
+    For OU noise ``xi0`` is the initial input-noise state; for JD it is the
+    initial input u_0 in (0, a), and ``theta`` is ``noise.theta`` or equal
+    to it on the grid; ``noise.unsafe`` is the one unsafe switch. ``x0``
+    and ``xi0`` become float vectors.
+    """
+
+    noise: Union[OUParams, JDParams]
+    theta: InputSignal
+    sys: SystemSpec
+    x0: np.ndarray
+    xi0: np.ndarray
+    grid: TimeGrid
+
+    def __post_init__(self):
+        noise, sys, grid, ts = self.noise, self.sys, self.grid, self.grid.times()
+        if noise.dim != sys.input_dim:
+            raise InputError("noise dimension does not match system input dimension")
+        rows, xi0 = _signal_rows(self.theta, "theta", noise.dim, ts), _block(self.xi0, noise.dim)[0]
+        if isinstance(noise, JDParams):
+            if self.theta is not noise.theta and not np.array_equal(rows, noise.theta.values(ts)):
+                raise InputError("a JD cascade's theta differs on the grid from its noise's theta")
+            if np.any(xi0 <= 0.0) or np.any(xi0 >= noise.a):
+                raise ConfigError("JD initial input must lie inside (0, a)")
+            margin = feller_check(noise, ts)["margin"]
+            if margin < 0.0 and not noise.unsafe:
+                raise ConfigError("JD parameters violate the boundary-nonattainment (Feller) "
+                                  f"condition on the grid (margin {margin:.3g}); set "
+                                  "JDParams(unsafe=True) to override")
+        _assign(self, x0=_block(self.x0, sys.state_dim)[0], xi0=xi0, _rows=rows)
+        _warn_step_size(sys, grid, stacklevel=4)
+
+    def _blocks(self, master_seed, start, count):
+        """Yield the kernel's (k, (x, u)) runs of paths start .. start+count-1:
+        the states, and the inputs u_k that stepped them.
+
+        An OU input with sigma = 0 is deterministic, u_k = theta_k + e^{-c k dt}
+        xi0: its rows are computed once, shared by all paths, and draw nothing,
+        so each path-step draws only the system's r normals.
+        """
+        noise, grid = self.noise, self.grid
+        x0s = [self.x0[None].repeat(count, 0)]
+        if isinstance(noise, OUParams) and noise.sigma == 0.0:
+            decay, _ = _ou_exact_coeffs(noise, grid.dt)
+            rows = self._rows + np.multiply.outer(decay ** np.arange(grid.steps + 1), self.xi0)
+            for k, (x,) in _blocks([self.sys], x0s, [rows], grid, master_seed, start):
+                yield k, (x, np.broadcast_to(rows[k:k + len(x), None], (len(x), count, noise.dim)))
+        else:
+            yield from _blocks([self.sys], x0s, [None], grid, master_seed, start,
+                               drive=(noise, self._rows, self.xi0))
 
 
 def _diffuse(sys: SystemSpec, x, u, dB):
@@ -419,7 +498,7 @@ def _product(M):
     """x -> x @ M as (f, operand), applied as f(x, operand, out). M = d I,
     as in one dimension or for an identity P, is one product by the scalar
     d; the matrix product only adds zero terms to the same numbers."""
-    if M.size and M.shape[0] == M.shape[1] and np.array_equal(M, M[0, 0] * np.eye(len(M))):
+    if M.size and M.shape[0] == M.shape[1] and (M == M[0, 0] * np.eye(len(M))).all():
         return np.multiply, float(M[0, 0])
     return np.matmul, M
 
@@ -535,25 +614,6 @@ def _blocks(systems, x0s, rows, grid, master_seed, start, common=False, drive=No
             k += n
 
 
-def _cascade_blocks(noise, theta_path, sys, x0, xi0, grid, master_seed, start):
-    """Yield (k, (x, u)) views of the input-noise cascade u_t -> x_t: the
-    states, and the inputs u_k that stepped them (see ``_blocks``); ``xi0``
-    is the (m,) initial input-noise state (for JD the initial input).
-
-    An OU input with sigma = 0 is deterministic, u_k = theta_k + e^{-c k dt}
-    xi0: its rows are computed once, shared by all paths, and draw nothing,
-    so each path-step draws only the system's r normals.
-    """
-    if isinstance(noise, OUParams) and noise.sigma == 0.0:
-        decay, _ = _ou_exact_coeffs(noise, grid.dt)
-        rows = theta_path + np.multiply.outer(decay ** np.arange(grid.steps + 1), xi0)
-        for k, (x,) in _blocks([sys], [x0], [rows], grid, master_seed, start):
-            yield k, (x, np.broadcast_to(rows[k:k + len(x), None], x.shape[:2] + rows.shape[1:]))
-    else:
-        yield from _blocks([sys], [x0], [None], grid, master_seed, start,
-                           drive=(noise, theta_path, xi0))
-
-
 def _collect(blocks, steps):
     """Copy the yielded views into one (steps+1, N, dim) array per view."""
     out = None
@@ -571,7 +631,7 @@ def _block(v, dim, count=1):
     v = np.asarray(v, dtype=float)
     if v.size != dim:
         raise InputError(f"initial vector has {v.size} components; expected {dim}")
-    return np.broadcast_to(v.reshape(dim), (count, dim)).copy()
+    return v.reshape(1, dim).repeat(count, 0)
 
 
 def default_dt(c: float) -> float:
@@ -587,8 +647,8 @@ def euler_maruyama(
     lineage: RngLineage,
 ) -> Trajectory:
     """x_{k+1} = x_k + F(x_k, u(t_k)) dt + Sigma(x_k, u(t_k)) dB_k."""
+    inputs = _signal_rows(u, "u", sys.input_dim, grid.times())
     _warn_step_size(sys, grid)
-    inputs = u.values(grid.times())
     (xs,) = _collect(_blocks([sys], [_block(x0, sys.state_dim)], [inputs], grid,
                              lineage.master_seed, lineage.path_index), grid.steps)
     return Trajectory(grid=grid, states=xs[:, 0], input_record=inputs, lineage=lineage)
@@ -605,19 +665,16 @@ def integrate_pair(
     grid: TimeGrid,
     lineage: RngLineage,
 ):
-    """Couple two Euler-Maruyama recursions on one noise source.
+    """Couple two Euler-Maruyama recursions on one noise source: the
+    ``lineage`` path of the ``PairScenario`` of these arguments.
 
     Independent mode draws 2r Gaussians per step (x block first); common
     mode reuses a single r block for both systems and requires equal noise
     dimension.
     """
-    _check_pair(sys_x, sys_y, mode, grid)
-    times = grid.times()
-    ux_rec, uy_rec = u_x.values(times), u_y.values(times)
-    xs, ys = _collect(_blocks(
-        [sys_x, sys_y], [_block(x0, sys_x.state_dim), _block(y0, sys_y.state_dim)],
-        [ux_rec, uy_rec], grid, lineage.master_seed, lineage.path_index,
-        common=mode is CouplingMode.COMMON), grid.steps)
+    sc = PairScenario(sys_x, sys_y, x0, y0, u_x, u_y, mode, grid)
+    xs, ys = _collect(sc._blocks(lineage.master_seed, lineage.path_index, 1), grid.steps)
+    ux_rec, uy_rec = sc._rows
     return (
         Trajectory(grid=grid, states=xs[:, 0], input_record=ux_rec, lineage=lineage),
         Trajectory(grid=grid, states=ys[:, 0], input_record=uy_rec, lineage=lineage),
@@ -633,7 +690,8 @@ def integrate_cascade(
     grid: TimeGrid,
     lineage: RngLineage,
 ):
-    """Simulate the input-noise cascade u_t -> x_t.
+    """Simulate the input-noise cascade u_t -> x_t: the ``lineage`` path of
+    the ``CascadeScenario`` of these arguments.
 
     OU branch: u_t = theta(t) + xi_t with xi stepped by the exact Gaussian
     transition. JD branch: u_t stepped by the boundary-safe Euler scheme
@@ -642,12 +700,9 @@ def integrate_cascade(
 
     Returns (input trajectory, state trajectory).
     """
-    _check_cascade(noise, theta, sys, xi0, grid)
-    theta_rec = theta.values(grid.times())
-    xs, us = _collect(_cascade_blocks(
-        noise, theta_rec, sys, _block(x0, sys.state_dim), _block(xi0, noise.dim)[0],
-        grid, lineage.master_seed, lineage.path_index), grid.steps)
-    u_traj = Trajectory(grid=grid, states=us[:, 0], input_record=theta_rec, lineage=lineage)
+    sc = CascadeScenario(noise, theta, sys, x0, xi0, grid)
+    xs, us = _collect(sc._blocks(lineage.master_seed, lineage.path_index, 1), grid.steps)
+    u_traj = Trajectory(grid=grid, states=us[:, 0], input_record=sc._rows, lineage=lineage)
     x_traj = Trajectory(grid=grid, states=xs[:, 0], input_record=us[:, 0], lineage=lineage)
     return u_traj, x_traj
 

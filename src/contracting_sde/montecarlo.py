@@ -1,55 +1,47 @@
 """Ensemble statistics: empirical second moments of errors in the weighted
 norm, standard errors, tail averages, and envelope-domination verdicts.
 
-Paths are independent work items keyed by (master_seed, path_index). Every
-ensemble steps through the one batched kernel of ``integrate``, which the
-single-path integrators run on a block of one: one stacked stepper per
-run, with step-major buffers of min(``_STEP_BLOCK``, steps) + 1 rows,
-where a system given as data (``SystemSpec.affine`` with its dispersion
-matrix) has its noise and input terms computed once per sub-block and the
-states of both systems of a pair are stepped in place together, five
-calls per step for the whole pair. A Jacobi input takes the kernel's one
-Jacobi step toward the cascade's one theta, and only its ``JDParams``
-sets ``unsafe``. OU moments run the kernel's OU input process with no
-system, with the exact or the Euler coefficients. All three estimators
-reduce through one reducer: the squared norms of a sub-block's (S, N, n)
-errors at once, then row sums over contiguous rows, which are the same
-pairwise sums as summing each step alone. Each path's Gaussian draws
-come from its own counter-based stream in the same order. In one
-dimension an ensemble path is therefore bit-identical to the single-path
-run of the same lineage and to stepping the drift and dispersion closures
-of the same system one step at a time; for n >= 2 these agree to within
-1e-14 relative, because BLAS may round a matrix product differently for a
-different number of rows. Ensembles run serially in fixed-size chunks,
-which bound the memory of each chunk's draws; their sums are added in
-chunk order, so a result depends only on the seed and the inputs. The
-estimators' ``n_workers`` argument is accepted and has no effect; it does
-not govern the helper thread that fills a chunk's normals
-(``integrate._draws``).
+The estimators run scenarios checked and prepared when made
+(``PairScenario`` and ``CascadeScenario`` of ``integrate``, re-exported
+here): each chunk of paths is one run of the scenario's ``_blocks`` on the
+one batched kernel of ``integrate``, which the single-path integrators run
+on a block of one, and nothing is checked again. OU moments run the
+kernel's OU input process with no system, with the exact or the Euler
+coefficients. All three estimators reduce through one reducer: the squared
+norms of a sub-block's (S, N, n) errors at once, then row sums over
+contiguous rows, which are the same pairwise sums as summing each step
+alone. Paths are independent work items: path i draws from the
+counter-based stream keyed (master_seed, i) in the same order as the
+single-path run of that lineage, so in one dimension the two are
+bit-identical; for n >= 2 they agree to within 1e-14 relative, because BLAS
+may round a matrix product differently for a different number of rows.
+Ensembles run serially in fixed-size chunks, which bound the memory of
+each chunk's draws; their sums are added in chunk order, so a result
+depends only on the seed and the inputs. The estimators' ``n_workers``
+argument is accepted and has no effect; it does not govern the helper
+thread that fills a chunk's normals (``integrate._draws``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
 
 import numpy as np
 
 from .bounds import Envelope, optimize_alpha
-from .core import EquilibriumMap, InputSignal, SystemSpec, TimeGrid
+from .core import EquilibriumMap, TimeGrid
 from .errors import InputError
-from .integrate import (
-    CHUNK_SIZE,  # noqa: F401 - the ensembles' chunk size, importable from here
-    CouplingMode,
+from .integrate import (  # noqa: F401 - the scenarios and the chunk size, importable from here
+    CHUNK_SIZE,
+    CascadeScenario,
+    PairScenario,
     _block,
     _blocks,
-    _cascade_blocks,
-    _check_cascade,
-    _check_pair,
     _chunks,
 )
-from .noise import JDParams, OUParams, _ou_exact_coeffs
+from .noise import OUParams, _ou_exact_coeffs
 
 _MIN_PATHS = 100  # the smallest ensemble a moment estimate is taken over
 
@@ -75,37 +67,6 @@ class Verdict:
     worst_margin: float
     worst_t: float
     slack_rule: str
-
-
-@dataclass(frozen=True)
-class PairScenario:
-    """Two coupled systems driven by possibly different inputs."""
-
-    sys_x: SystemSpec
-    sys_y: SystemSpec
-    x0: np.ndarray
-    y0: np.ndarray
-    u_x: InputSignal
-    u_y: InputSignal
-    mode: CouplingMode
-    grid: TimeGrid
-
-
-@dataclass(frozen=True)
-class CascadeScenario:
-    """Input-noise process (OU or JD) feeding a contracting system.
-
-    For OU noise ``xi0`` is the initial input-noise state; for JD it is the
-    initial input u_0 in (0, a), and ``theta`` is ``noise.theta`` or equal
-    to it on the grid; ``noise.unsafe`` is the one unsafe switch.
-    """
-
-    noise: Union[OUParams, JDParams]
-    theta: InputSignal
-    sys: SystemSpec
-    x0: np.ndarray
-    xi0: np.ndarray
-    grid: TimeGrid
 
 
 def _moments(grid, n_paths, blocks, norm_sq):
@@ -144,18 +105,8 @@ def pair_error_moment(
 ) -> MomentSeries:
     """Per-time mean and standard error of ||x_t - y_t||_P^2 over the ensemble."""
     sc = scenario
-    _check_pair(sc.sys_x, sc.sys_y, sc.mode, sc.grid)
-    times = sc.grid.times()
-    rows = [sc.u_x.values(times), sc.u_y.values(times)]
-
-    def blocks(start, count):
-        return _blocks([sc.sys_x, sc.sys_y],
-                       [_block(sc.x0, sc.sys_x.state_dim, count),
-                        _block(sc.y0, sc.sys_y.state_dim, count)],
-                       rows, sc.grid, master_seed, start, common=sc.mode is CouplingMode.COMMON)
-
     norm_sq = lambda k, xy: sc.sys_x.metric.batch_norm_sq(xy[0] - xy[1])
-    return _moments(sc.grid, n_paths, blocks, norm_sq)
+    return _moments(sc.grid, n_paths, partial(sc._blocks, master_seed), norm_sq)
 
 
 def _x_star_batch(eq_map: EquilibriumMap, U: np.ndarray, n: int) -> np.ndarray:
@@ -185,25 +136,22 @@ def tracking_error_moment(
     if target not in ("deterministic_curve", "stochastic_curve"):
         raise InputError(f"unknown target '{target}'")
     sc = scenario
-    grid, sys, noise = sc.grid, sc.sys, sc.noise
-    _check_cascade(noise, sc.theta, sys, sc.xi0, grid)
-    n = sys.state_dim
-    theta_path = sc.theta.values(grid.times())
-    xstar_det = _x_star_batch(eq_map, theta_path, n)  # (steps+1, n)
-
-    def blocks(start, count):
-        return _cascade_blocks(noise, theta_path, sys, _block(sc.x0, n, count),
-                               _block(sc.xi0, noise.dim)[0], grid, master_seed, start)
+    sys, n, m = sc.sys, sc.sys.state_dim, sc.noise.dim
+    dims = (eq_map.state_dim, eq_map.input_dim)
+    if None not in dims and dims != (n, m):
+        raise InputError(f"the equilibrium map takes {dims[1]} inputs to {dims[0]} states; "
+                         f"the system has {m} inputs and {n} states")
+    xstar_det = _x_star_batch(eq_map, sc._rows, n)  # (steps+1, n)
 
     def norm_sq(k, xu):
         x, u = xu
         if target == "deterministic_curve":
             e = x - xstar_det[k:k + len(x), None]
         else:
-            e = x - _x_star_batch(eq_map, u.reshape(-1, noise.dim), n).reshape(x.shape)
+            e = x - _x_star_batch(eq_map, u.reshape(-1, m), n).reshape(x.shape)
         return sys.metric.batch_norm_sq(e)
 
-    return _moments(grid, n_paths, blocks, norm_sq)
+    return _moments(sc.grid, n_paths, partial(sc._blocks, master_seed), norm_sq)
 
 
 def ou_moment(

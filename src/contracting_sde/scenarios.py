@@ -42,7 +42,7 @@ from .core import (
     validate_metric,
 )
 from .errors import ConfigError, DivergenceError
-from .integrate import CouplingMode, _check_input_process, default_dt
+from .integrate import CouplingMode, default_dt
 from .montecarlo import (
     _MIN_PATHS,
     CascadeScenario,
@@ -298,7 +298,6 @@ def _moment_scenario(kind: str, top: _Fields, sys: SystemSpec, grid: TimeGrid):
                                  a=f.get("a", conv=_array), unsafe=f.get("unsafe", False, _boolean))
                 xi0 = top.get("u0", theta.value(grid.t0).tolist(), _vector(m))
         f.done()
-    _check_input_process(noise, theta, sys, xi0, grid)
     return CascadeScenario(noise=noise, theta=theta, sys=sys, x0=x0, xi0=xi0, grid=grid), eq
 
 
@@ -372,13 +371,13 @@ def _bound_params(kind: str, sc, eq) -> bnd.BoundParams:
     if eq is None:
         gap = lambda ts: _row_norm_sq(sc.u_x.value(ts) - sc.u_y.value(ts))
         return bnd.BoundParams(
-            **kwargs, E0=sys.metric.norm_sq(np.atleast_1d(sc.x0 - sc.y0)),
+            **kwargs, E0=sys.metric.norm_sq(sc.x0 - sc.y0),
             input_gap_sq=gap, input_gap_sq_limsup=tail_max(gap(times)))
     tdot = lambda ts: _row_norm_sq(sc.theta.derivative(ts))
     kwargs.update(theta_dot_sq=tdot, theta_dot_sq_limsup=tail_max(tdot(times)))
     # h_ou = h_jd = 0: affine equilibrium maps have zero curvature
     th0 = sc.theta.value(grid.t0)
-    xi0, noise = np.atleast_1d(sc.xi0), sc.noise
+    xi0, noise = sc.xi0, sc.noise
     if isinstance(noise, OUParams):
         kwargs.update(sigma_xi_sq=noise.sigma**2, Exi0=float(xi0 @ xi0))
         v0 = th0 + xi0 if kind.endswith("sisc") else th0
@@ -386,7 +385,7 @@ def _bound_params(kind: str, sc, eq) -> bnd.BoundParams:
         kwargs.update(sigma_u_sq=noise.sigma_u**2, a_norm_sq=float(noise.a @ noise.a),
                       Exi0=float((xi0 - th0) @ (xi0 - th0)))
         v0 = xi0 if kind.endswith("sisc") else th0
-    E0 = sys.metric.norm_sq(np.atleast_1d(sc.x0) - np.atleast_1d(eq.x_star(v0)))
+    E0 = sys.metric.norm_sq(sc.x0 - eq.x_star(v0))
     return bnd.BoundParams(**kwargs, E0=E0)
 
 

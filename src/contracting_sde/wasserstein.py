@@ -25,6 +25,10 @@ l2 distances are summed coordinate by coordinate, with no (k, k, n)
 difference tensor. A weighted norm maps both clouds through its Cholesky
 factor, so 1-D clouds keep the sorted formula. Problem size is capped at
 k = 2048 samples per measure.
+
+A ``WassersteinScenario`` is checked and prepared when made, through the
+checks of a common-mode ``PairScenario``; ``wasserstein_series`` runs its
+input rows on the kernel of ``integrate`` and checks nothing again.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from .bounds import _check_times, _conv_term, _eval_terms, decay_convolution
 from .core import InputSignal, Metric, SystemSpec, TimeGrid, _row_norm_sq
 from .errors import CapabilityError, CapacityError, DomainError, InputError
-from .integrate import CouplingMode, _blocks, _check_pair, _chunks
+from .integrate import CouplingMode, PairScenario, _assign, _blocks, _chunks
 from .montecarlo import Verdict
 
 MAX_SAMPLES = 2048
@@ -272,7 +276,8 @@ def wasserstein_envelope(W0: float, c: float, ell: float, input_gap, t: float) -
 
 @dataclass(frozen=True)
 class WassersteinScenario:
-    """Common-noise coupled pair started from two initial sample clouds."""
+    """Common-noise coupled pair started from two initial (k, n) sample
+    clouds; both systems need state-independent dispersion."""
 
     sys_x: SystemSpec
     sys_y: SystemSpec
@@ -299,20 +304,19 @@ class WassersteinScenario:
         if n != nx or n != ny:
             raise InputError(f"initial clouds have {n} columns; the systems' "
                              f"state dimensions are {nx} and {ny}")
-        object.__setattr__(self, "x0_samples", xs)
-        object.__setattr__(self, "y0_samples", ys)
+        for name, sys in (("first system", self.sys_x), ("second system", self.sys_y)):
+            if sys.dispersion_matrix is None:
+                raise CapabilityError(
+                    f"{name} has state-dependent dispersion; the distributional "
+                    "contraction result requires Sigma(t) independent of the state"
+                )
+        pair = PairScenario(self.sys_x, self.sys_y, xs[0], ys[0], self.u_x, self.u_y,
+                            CouplingMode.COMMON, self.grid)
+        _assign(self, x0_samples=xs, y0_samples=ys, _rows=pair._rows)
 
     @property
     def k(self) -> int:
         return self.x0_samples.shape[0]
-
-
-def _require_state_independent(sys: SystemSpec, name: str):
-    if sys.dispersion_matrix is None:
-        raise CapabilityError(
-            f"{name} has state-dependent dispersion; the distributional "
-            "contraction result requires Sigma(t) independent of the state"
-        )
 
 
 def wasserstein_series(
@@ -321,34 +325,25 @@ def wasserstein_series(
     master_seed: int,
     checkpoints=None,
     norm=None,
-    n_workers: int = 1,
 ):
     """Empirical W_p between the coupled clouds at checkpoint times.
 
-    Returns (times, w_empirical, envelope) arrays. Both systems must have
-    state-independent dispersion and share the common Brownian source; each
-    path pair i is driven by the stream keyed (master_seed, i). Distances
-    are measured in ``norm``, by default the first system's metric, in
-    which the envelope's c and ell are certified; with two constant inputs
-    it takes its closed form. ``n_workers`` is accepted and has no effect;
-    it does not govern the helper thread that fills a chunk's normals
-    (``integrate._draws``).
+    Returns (times, w_empirical, envelope) arrays. Each path pair i is
+    driven by the stream keyed (master_seed, i) of the common Brownian
+    source, on the input rows the scenario keeps. Distances are measured
+    in ``norm``, by default the first system's metric, in which the
+    envelope's c and ell are certified; with two constant inputs it takes
+    its closed form.
     """
     sc = scenario
     norm = sc.sys_x.metric if norm is None else norm
-    _require_state_independent(sc.sys_x, "first system")
-    _require_state_independent(sc.sys_y, "second system")
-    grid = sc.grid
-    _check_pair(sc.sys_x, sc.sys_y, CouplingMode.COMMON, grid)
-    times = grid.times()
+    grid, times = sc.grid, sc.grid.times()
     if checkpoints is None:
         idx = np.unique(np.linspace(0, grid.steps, 21).astype(int))
     else:
         idx = np.unique(np.rint((np.asarray(checkpoints) - grid.t0) / grid.dt).astype(int))
         if np.any(idx < 0) or np.any(idx > grid.steps):
             raise InputError("checkpoint outside the time grid")
-    ux_path = sc.u_x.values(times)
-    uy_path = sc.u_y.values(times)
 
     clouds_x = np.empty((idx.shape[0],) + sc.x0_samples.shape)  # (checkpoints, k, n)
     clouds_y = np.empty_like(clouds_x)
@@ -356,7 +351,7 @@ def wasserstein_series(
         paths = slice(start, start + count)
         _fill_clouds((clouds_x, clouds_y), idx, paths, _blocks(
             [sc.sys_x, sc.sys_y], [sc.x0_samples[paths], sc.y0_samples[paths]],
-            [ux_path, uy_path], grid, master_seed, start, common=True))
+            sc._rows, grid, master_seed, start, common=True))
 
     c, ell = sc.sys_x.certificate.c_hat, sc.sys_x.certificate.ell_hat
     gap = lambda ts: np.sqrt(_row_norm_sq(sc.u_x.value(ts) - sc.u_y.value(ts)))

@@ -549,6 +549,22 @@ class TestRunScenarioApi:
         run_scenario(cfg, tmp_path / "again")
         assert len(certify_calls) == certifications
 
+    def test_a_jd_config_checks_feller_once_when_parsed(self, tmp_path, monkeypatch):
+        # building the cascade checks the Feller condition on the grid; no
+        # run checks it again
+        import contracting_sde.integrate as integrate_mod
+
+        calls, feller = [], integrate_mod.feller_check
+        monkeypatch.setattr(integrate_mod, "feller_check",
+                            lambda *args: calls.append(args) or feller(*args))
+        data = json.loads((CONFIG_DIR / "track_jd_sidc.json").read_text(encoding="utf-8"))
+        data.update(n_paths=100, grid={**data["grid"], "steps": 200})
+        cfg = parse_config(json.dumps(data))
+        assert len(calls) == 1
+        for i in range(3):
+            run_scenario(cfg, tmp_path / f"bundle{i}")
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("command", [
         ["run", "--seed", "3", "--paths", "300", "--alpha", "0.4", "--workers", "2"],
         ["run", "--dry-run"], ["certify"], ["batch"],

@@ -181,10 +181,9 @@ class TestIntegrateCascade:
         grid = TimeGrid(0.0, 2e-3, 4000)
         # the lineages RngLineage(21, i), i < 200, as one block: in 1-D each
         # slot is bit-identical to integrate_cascade on that lineage
-        from contracting_sde.integrate import _block, _cascade_blocks, _collect
-        xs, _ = _collect(_cascade_blocks(noise, theta.values(grid.times()), sys,
-                                         _block([0.5], 1, 200), np.zeros(1), grid, 21, 0),
-                         grid.steps)
+        from contracting_sde.integrate import _collect
+        xs, _ = _collect(CascadeScenario(noise, theta, sys, [0.5], np.zeros(1), grid)._blocks(
+            21, 0, 200), grid.steps)
         xs = xs[:, :, 0].T  # (paths, steps+1)
         errs = []
         for path in xs:
@@ -249,8 +248,8 @@ class TestIntegrateCascade:
         other = InputSignal.sinusoid([0.1], offset=[0.5])  # equal to it at t = 0 only
         with pytest.raises(InputError, match="JD cascade's theta differs on the grid"):
             integrate_cascade(noise, other, sys, [0.5], [0.5], grid, RngLineage(0))
-        sc = CascadeScenario(noise, other, sys, [0.5], [0.5], grid)
         with pytest.raises(InputError, match="JD cascade's theta differs on the grid"):
+            sc = CascadeScenario(noise, other, sys, [0.5], [0.5], grid)
             tracking_error_moment(sc, eq, "deterministic_curve", 100, 0)
         # a signal equal to noise.theta on the grid runs the same cascade
         runs = [integrate_cascade(noise, th, sys, [0.5], [0.5], grid, RngLineage(0))
@@ -264,6 +263,69 @@ class TestIntegrateCascade:
             integrate_cascade(OUParams(c=1.0, sigma=0.1, dim=2), InputSignal.constant([0.0]),
                               scalar_tracker(1.0, 0.2), [0.0], [0.0, 0.0],
                               TimeGrid(0.0, 1e-2, 10), RngLineage(0))
+
+
+class TestScenarioChecks:
+    """A pair or cascade is checked when it is made, also by the integrators
+    that make one: a bad field raises InputError naming it."""
+
+    SYS = scalar_tracker(1.0, 0.3)
+    GRID = TimeGrid(0.0, 1e-2, 50)
+    WIDE = InputSignal.constant([0.0, 0.0])  # two components for a one-input system
+    OU = OUParams(c=1.0, sigma=0.1, dim=1)
+
+    @pytest.mark.parametrize("name, make", [
+        ("u", lambda s: euler_maruyama(s.SYS, [0.0], s.WIDE, s.GRID, RngLineage(0))),
+        ("u_y", lambda s: integrate_pair(s.SYS, s.SYS, [0.0], [0.0], ZERO, s.WIDE,
+                                         CouplingMode.INDEPENDENT, s.GRID, RngLineage(0))),
+        ("theta", lambda s: integrate_cascade(s.OU, s.WIDE, s.SYS, [0.0], [0.0], s.GRID,
+                                              RngLineage(0))),
+        ("u_x", lambda s: PairScenario(s.SYS, s.SYS, [0.0], [0.0], s.WIDE, ZERO,
+                                       CouplingMode.INDEPENDENT, s.GRID)),
+        ("theta", lambda s: CascadeScenario(s.OU, s.WIDE, s.SYS, [0.0], [0.0], s.GRID)),
+        ("u_y", lambda s: WassersteinScenario(s.SYS, s.SYS, np.zeros((8, 1)), np.ones((8, 1)),
+                                              ZERO, s.WIDE, s.GRID)),
+    ], ids=["euler_maruyama", "integrate_pair", "integrate_cascade", "pair_error_moment",
+            "tracking_error_moment", "wasserstein_series"])
+    def test_a_signal_of_the_wrong_dimension_is_named(self, name, make):
+        # the scenarios of the three estimators refuse it when made
+        with pytest.raises(InputError, match=f"^{name} has 2 components; its system has 1 inputs$"):
+            make(self)
+
+    def test_a_mode_given_as_its_value_is_that_mode(self):
+        # one system from one start on common noise: x and y never part
+        u = InputSignal.sinusoid([1.0])
+        series = [pair_error_moment(PairScenario(self.SYS, self.SYS, [1.0], [1.0], u, u, mode,
+                                                 self.GRID), 100, 3)
+                  for mode in (CouplingMode.COMMON, "common")]
+        assert np.array_equal(series[0].mean_sq, series[1].mean_sq)
+        assert np.array_equal(series[0].std_err, series[1].std_err)
+        assert not series[1].mean_sq.any()
+        tx, ty = integrate_pair(self.SYS, self.SYS, [1.0], [1.0], u, u, "common", self.GRID,
+                                RngLineage(3, 7))
+        assert np.array_equal(tx.states, ty.states)
+        sc = PairScenario(self.SYS, self.SYS, [1], 2, u, u, "independent", self.GRID)
+        assert sc.mode is CouplingMode.INDEPENDENT
+        assert sc.x0.dtype == sc.y0.dtype == float and sc.x0.shape == sc.y0.shape == (1,)
+
+    def test_an_unknown_mode_is_refused(self):
+        with pytest.raises(InputError, match="unknown coupling mode 'bogus'"):
+            PairScenario(self.SYS, self.SYS, [0.0], [0.0], ZERO, ZERO, "bogus", self.GRID)
+        with pytest.raises(InputError, match="unknown coupling mode 'bogus'"):
+            integrate_pair(self.SYS, self.SYS, [0.0], [0.0], ZERO, ZERO, "bogus", self.GRID,
+                           RngLineage(0))
+
+    def test_the_step_size_warning_fires_when_made(self):
+        # and not at a run: tier-1 turns a RuntimeWarning into an error
+        big = TimeGrid(0.0, 0.5, 2)
+        with pytest.warns(RuntimeWarning, match="dt"):
+            pair = PairScenario(self.SYS, self.SYS, [0.0], [0.0], ZERO, ZERO,
+                                CouplingMode.INDEPENDENT, big)
+        with pytest.warns(RuntimeWarning, match="dt"):
+            cascade = CascadeScenario(self.OU, ZERO, self.SYS, [0.0], [0.0], big)
+        pair_error_moment(pair, 100, 0)
+        tracking_error_moment(cascade, EquilibriumMap.affine([[1.0]]), "deterministic_curve",
+                              100, 0)
 
 
 class TestOdeRk4:
@@ -386,7 +448,7 @@ class TestSharedKernel:
         # steps span three sub-blocks, and the small budget several draw
         # blocks besides. sigma_u^2 > c, so the run is unsafe and clamps.
         from contracting_sde import integrate
-        from contracting_sde.integrate import _block, _cascade_blocks, _collect
+        from contracting_sde.integrate import _collect
 
         if budget is not None:
             monkeypatch.setattr(integrate, "DRAW_BLOCK_BYTES", budget)
@@ -397,9 +459,8 @@ class TestSharedKernel:
         noise = JDParams(c=c, theta=theta, sigma_u=sigma_u, a=a, unsafe=True)
         grid = TimeGrid(0.0, 2e-2, 300)
         th = theta.values(grid.times())
-        xs, us = _collect(_cascade_blocks(
-            noise, th, sys, _block([0.0, 0.0], 2, self.COUNT), np.array([0.4, 1.2]), grid,
-            self.SEED, self.START), grid.steps)
+        xs, us = _collect(CascadeScenario(noise, theta, sys, [0.0, 0.0], [0.4, 1.2], grid)._blocks(
+            self.SEED, self.START, self.COUNT), grid.steps)
         lo, hi = 1e-12 * a, a - 1e-12 * a
         clamps = 0
         for i in range(self.COUNT):
@@ -415,7 +476,7 @@ class TestSharedKernel:
         assert clamps > 10
 
     def _assert_cascade_slots_bit_identical(self, kind):
-        from contracting_sde.integrate import _block, _cascade_blocks, _collect
+        from contracting_sde.integrate import _collect
 
         sys = scalar_tracker(1.0, 0.2)
         theta = InputSignal.sinusoid([0.2], offset=[0.5])
@@ -424,9 +485,8 @@ class TestSharedKernel:
         else:
             noise, xi0 = JDParams(c=1.0, theta=theta, sigma_u=0.5, a=[1.0]), [0.4]
         grid = TimeGrid(0.0, 1e-2, 200)
-        xs, us = _collect(_cascade_blocks(
-            noise, theta.values(grid.times()), sys, _block([0.3], 1, self.COUNT),
-            np.array(xi0), grid, self.SEED, self.START), grid.steps)
+        xs, us = _collect(CascadeScenario(noise, theta, sys, [0.3], xi0, grid)._blocks(
+            self.SEED, self.START, self.COUNT), grid.steps)
         xs, us = xs.transpose(1, 0, 2), us.transpose(1, 0, 2)
         for i in range(self.COUNT):
             tu, tx = integrate_cascade(noise, theta, sys, [0.3], xi0, grid,

@@ -135,13 +135,28 @@ class TestTrackingErrorMoment:
         noise = JDParams(c=1.0, theta=theta, sigma_u=0.1, a=[1.0])
         sys = scalar_tracker(1.0, 0.2)
         grid = TimeGrid(0.0, 1e-2, 10)
-        sc = CascadeScenario(noise=noise, theta=theta, sys=sys, x0=[0.5], xi0=[1.5], grid=grid)
         with pytest.raises(ConfigError) as ensemble:
+            sc = CascadeScenario(noise=noise, theta=theta, sys=sys, x0=[0.5], xi0=[1.5], grid=grid)
             tracking_error_moment(sc, EquilibriumMap.affine([[1.0]]), "stochastic_curve",
                                   n_paths=100, master_seed=0)
         with pytest.raises(ConfigError) as single:
             integrate_cascade(noise, theta, sys, [0.5], [1.5], grid, RngLineage(0))
         assert str(ensemble.value) == str(single.value)
+
+    def test_equilibrium_map_must_have_the_cascade_dimensions(self, monkeypatch):
+        # a map of two inputs on a one-input cascade is refused, naming both
+        # dimensions, before anything is simulated
+        from contracting_sde import integrate
+
+        sc = CascadeScenario(
+            noise=OUParams(c=1.0, sigma=0.1, dim=1), theta=InputSignal.constant([0.0]),
+            sys=scalar_tracker(1.0, 0.1), x0=[0.0], xi0=[0.0], grid=TimeGrid(0.0, 1e-2, 20),
+        )
+        monkeypatch.setattr(integrate, "_blocks", None)  # any simulation would fail
+        with pytest.raises(InputError, match="takes 2 inputs to 1 states; the system has "
+                                             "1 inputs and 1 states"):
+            tracking_error_moment(sc, EquilibriumMap.affine([[1.0, 2.0]]),
+                                  "deterministic_curve", n_paths=100, master_seed=0)
 
     def test_equilibrium_map_must_broadcast(self):
         # written for one input vector: a batch collapses to a single sum

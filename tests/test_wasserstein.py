@@ -722,12 +722,12 @@ class TestWassersteinSeries:
             noise_dim=1,
         )
         x0 = np.linspace(0.5, 1.5, 8)[:, None]
-        sc = WassersteinScenario(
-            sys_x=sys, sys_y=sys, x0_samples=x0, y0_samples=x0,
-            u_x=InputSignal.constant([0.0]), u_y=InputSignal.constant([0.0]),
-            grid=TimeGrid(0.0, 1e-2, 10),
-        )
         with pytest.raises(CapabilityError):
+            sc = WassersteinScenario(
+                sys_x=sys, sys_y=sys, x0_samples=x0, y0_samples=x0,
+                u_x=InputSignal.constant([0.0]), u_y=InputSignal.constant([0.0]),
+                grid=TimeGrid(0.0, 1e-2, 10),
+            )
             wasserstein_series(sc, 2, master_seed=0)
 
     def test_scenario_run_simulates_once(self, tmp_path, monkeypatch):
